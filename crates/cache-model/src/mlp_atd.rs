@@ -111,7 +111,7 @@ impl MlpAtd {
 
     /// Computes the leading-miss matrix from an existing replay profile
     /// (used by the simulation-database generator, which already has the
-    /// profile at hand).
+    /// profile at hand): one pass over the profile per core size.
     pub fn matrix_from_profile(
         profile: &ReplayProfile,
         config: &MlpAtdConfig,
@@ -120,11 +120,7 @@ impl MlpAtd {
         let leading = config
             .core_sizes
             .iter()
-            .map(|params| {
-                (1..=max_ways)
-                    .map(|w| profile.leading_misses_at(w, params))
-                    .collect()
-            })
+            .map(|params| profile.leading_miss_curve(max_ways, params))
             .collect();
         LeadingMissMatrix { leading }
     }

@@ -6,6 +6,12 @@
 //! yields the miss count for **every** possible way allocation, which is the
 //! mechanism both the ground-truth simulator and the Auxiliary Tag Directory
 //! rely on.
+//!
+//! The per-set stacks are bounded to the associativity: no query asks for
+//! more ways than the cache has, and an access at distance
+//! `>= associativity` misses at every way count up to it, exactly as a cold
+//! miss does. The profiles answer queries for `1..=associativity` ways
+//! (checked by debug assertions).
 
 use crate::access::AccessTrace;
 use crate::mlp_atd::OverlapParams;
@@ -13,16 +19,19 @@ use crate::replacement::LruStack;
 use qosrm_types::{LlcGeometry, MissProfile};
 use serde::{Deserialize, Serialize};
 
-/// Stack distance marking a cold miss (no previous reference to the line).
+/// Stack distance marking an access that misses at every profiled way
+/// count: a cold miss, or a reuse deeper than the profiled associativity.
 pub const COLD_DISTANCE: u32 = u32::MAX;
 
 /// One profiled access: the instruction that issued it and its per-set LRU
-/// stack distance ([`COLD_DISTANCE`] when the line had never been touched).
+/// stack distance ([`COLD_DISTANCE`] when the line is not among the
+/// associativity most recently used lines of its set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccessRecord {
     /// Instruction index of the access within the slice.
     pub inst_index: u64,
-    /// LRU stack distance within the access's set.
+    /// LRU stack distance within the access's set, exact below the profiled
+    /// associativity.
     pub stack_distance: u32,
     /// Whether the access is address-dependent on the previous long-latency
     /// load (pointer chasing); dependent misses never overlap.
@@ -37,11 +46,14 @@ impl AccessRecord {
     }
 }
 
-/// Profiler that replays a reference stream against per-set unbounded LRU
-/// stacks and records every access's stack distance.
+/// Profiler that replays a reference stream against per-set LRU stacks
+/// bounded to the associativity and records every access's stack distance
+/// (exact below the associativity, [`COLD_DISTANCE`] otherwise).
 #[derive(Debug, Clone)]
 pub struct StackDistanceProfiler {
     num_sets: usize,
+    /// Capacity of every per-set stack: the associativity.
+    depth: usize,
     /// Optional set-sampling: only sets whose index satisfies
     /// `set % sampling == offset` are profiled (used by the ATD model).
     sampling: usize,
@@ -52,25 +64,32 @@ pub struct StackDistanceProfiler {
 impl StackDistanceProfiler {
     /// Creates a profiler covering every set of the given geometry.
     pub fn new(llc: &LlcGeometry) -> Self {
-        StackDistanceProfiler {
-            num_sets: llc.num_sets,
-            sampling: 1,
-            offset: 0,
-            sets: (0..llc.num_sets).map(|_| LruStack::unbounded()).collect(),
-        }
+        Self::sampled(llc, 1, 0)
     }
 
     /// Creates a set-sampled profiler: only 1 out of `sampling` sets is
     /// profiled (the sets congruent to `offset`). Sampled profiles must be
     /// scaled by `sampling` to estimate whole-cache counts.
     pub fn sampled(llc: &LlcGeometry, sampling: usize, offset: usize) -> Self {
+        Self::with_depth(llc, llc.associativity, sampling, offset)
+    }
+
+    fn with_depth(llc: &LlcGeometry, depth: usize, sampling: usize, offset: usize) -> Self {
         let sampling = sampling.max(1);
         StackDistanceProfiler {
             num_sets: llc.num_sets,
+            depth,
             sampling,
             offset: offset % sampling,
-            sets: (0..llc.num_sets).map(|_| LruStack::unbounded()).collect(),
+            sets: (0..llc.num_sets).map(|_| LruStack::new(depth)).collect(),
         }
+    }
+
+    /// A profiler whose stacks never forget a line: the exact-at-any-depth
+    /// oracle the bounded profiler is tested against.
+    #[cfg(test)]
+    fn unbounded_oracle(llc: &LlcGeometry, sampling: usize, offset: usize) -> Self {
+        Self::with_depth(llc, usize::MAX, sampling, offset)
     }
 
     /// Whether the profiler observes accesses to `set`.
@@ -107,6 +126,7 @@ impl StackDistanceProfiler {
             instructions: trace.instructions(),
             total_accesses: trace.len() as u64,
             scale: self.sampling as u64,
+            max_ways: self.depth,
         }
     }
 
@@ -123,7 +143,7 @@ impl StackDistanceProfiler {
     /// Clears all reuse history.
     pub fn reset(&mut self) {
         for s in &mut self.sets {
-            *s = LruStack::unbounded();
+            *s = LruStack::new(self.depth);
         }
     }
 }
@@ -138,10 +158,14 @@ pub struct ReplayProfile {
     /// Set-sampling factor: derived counts must be multiplied by this factor
     /// to estimate whole-cache counts (1 for a full profile).
     scale: u64,
+    /// Largest way count the stack distances are exact for (the profiled
+    /// associativity): every query must ask for at most this many ways.
+    max_ways: usize,
 }
 
 impl ReplayProfile {
     /// Builds a profile directly from records (used by tests and generators).
+    /// The records' distances are taken as exact at any depth.
     pub fn from_records(records: Vec<AccessRecord>, instructions: u64, scale: u64) -> Self {
         let total_accesses = records.len() as u64 * scale;
         ReplayProfile {
@@ -149,7 +173,18 @@ impl ReplayProfile {
             instructions,
             total_accesses,
             scale: scale.max(1),
+            max_ways: usize::MAX,
         }
+    }
+
+    /// Checks a way-count query against the profiled associativity.
+    #[inline]
+    fn debug_assert_in_domain(&self, ways: usize) {
+        debug_assert!(
+            ways <= self.max_ways,
+            "query at {ways} ways beyond the profiled associativity {}",
+            self.max_ways
+        );
     }
 
     /// The profiled access records, in program order.
@@ -180,6 +215,7 @@ impl ReplayProfile {
     /// Misses for a cache with `ways` ways per set (scaled to the whole
     /// cache when the profile is set-sampled).
     pub fn misses_at(&self, ways: usize) -> u64 {
+        self.debug_assert_in_domain(ways);
         let raw = self.records.iter().filter(|r| r.is_miss_at(ways)).count() as u64;
         raw * self.scale
     }
@@ -187,6 +223,7 @@ impl ReplayProfile {
     /// The full miss curve for way allocations `1..=max_ways`, computed in a
     /// single pass over the records.
     pub fn miss_curve(&self, max_ways: usize) -> MissProfile {
+        self.debug_assert_in_domain(max_ways);
         // hist[d] = number of accesses with stack distance exactly d (d < max_ways).
         let mut hist = vec![0u64; max_ways];
         let mut beyond = 0u64; // distance >= max_ways or cold
@@ -207,16 +244,63 @@ impl ReplayProfile {
         MissProfile::new(curve)
     }
 
-    /// Number of *leading* (non-overlapped) misses for a cache with `ways`
-    /// ways, under the overlap model `params` (scaled to the whole cache).
+    /// Number of *leading* (non-overlapped) misses for every way allocation
+    /// `1..=max_ways` under the overlap model `params` (`curve[w - 1]` for
+    /// `w` ways, scaled to the whole cache), in one pass over the records.
     ///
     /// A miss overlaps with the current leading miss if it is issued within
     /// the re-order-buffer window of that leading miss and fewer than `mshrs`
     /// misses are already outstanding in the overlap group; otherwise it
-    /// starts a new group and counts as a leading miss. Overlapped misses are
-    /// hidden behind the leading miss and do not contribute to memory stall
-    /// time (the leading-loads performance model).
-    pub fn leading_misses_at(&self, ways: usize, params: &OverlapParams) -> u64 {
+    /// starts a new group and counts as a leading miss. Dependent misses
+    /// always start a group. Overlapped misses are hidden behind the leading
+    /// miss and do not contribute to memory stall time (the leading-loads
+    /// performance model).
+    ///
+    /// Every way count runs its own group state machine over the misses it
+    /// sees. An access at stack distance `d` misses exactly with
+    /// `1..=min(d, max_ways)` ways, so it updates only those lanes.
+    pub fn leading_miss_curve(&self, max_ways: usize, params: &OverlapParams) -> Vec<u64> {
+        self.debug_assert_in_domain(max_ways);
+        /// One way count's overlap group; `size == 0` until its first miss.
+        #[derive(Clone, Copy)]
+        struct Lane {
+            start: u64,
+            size: usize,
+            leading: u64,
+        }
+        let window = params.rob_entries as u64;
+        let mshrs = params.mshrs.max(1);
+        let mut lanes = vec![
+            Lane {
+                start: 0,
+                size: 0,
+                leading: 0,
+            };
+            max_ways
+        ];
+        for r in &self.records {
+            let missing = (r.stack_distance as usize).min(max_ways);
+            for lane in &mut lanes[..missing] {
+                let starts_new_group = r.dependent
+                    || lane.size == 0
+                    || r.inst_index.saturating_sub(lane.start) > window
+                    || lane.size >= mshrs;
+                if starts_new_group {
+                    lane.leading += 1;
+                    lane.start = r.inst_index;
+                    lane.size = 1;
+                } else {
+                    lane.size += 1;
+                }
+            }
+        }
+        lanes.iter().map(|lane| lane.leading * self.scale).collect()
+    }
+
+    /// Leading misses at one way count, one pass per query: the per-way
+    /// reference [`Self::leading_miss_curve`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn leading_misses_at(&self, ways: usize, params: &OverlapParams) -> u64 {
         let window = params.rob_entries as u64;
         let mshrs = params.mshrs.max(1);
         let mut leading = 0u64;
@@ -245,7 +329,8 @@ impl ReplayProfile {
     }
 
     /// Average memory-level parallelism at `ways` ways under `params`.
-    pub fn mlp_at(&self, ways: usize, params: &OverlapParams) -> f64 {
+    #[cfg(test)]
+    fn mlp_at(&self, ways: usize, params: &OverlapParams) -> f64 {
         let total = self.misses_at(ways);
         let leading = self.leading_misses_at(ways, params);
         if total == 0 || leading == 0 {
@@ -441,5 +526,119 @@ mod tests {
         };
         assert!((profile.mlp_at(4, &params) - 1.0).abs() < 1e-12);
         assert_eq!(profile.miss_curve(4).misses_at(1), 0);
+        assert_eq!(profile.leading_miss_curve(4, &params), vec![0; 4]);
+    }
+
+    use proptest::prelude::*;
+
+    /// A trace from `(line, instruction gap, dependent if 0)` triples.
+    fn trace_of(raw: Vec<(u64, u64, u8)>) -> AccessTrace {
+        let mut inst = 0u64;
+        let accesses = raw
+            .into_iter()
+            .map(|(line, gap, kind)| {
+                inst += gap;
+                if kind == 0 {
+                    Access::dependent(line, inst)
+                } else {
+                    Access::new(line, inst)
+                }
+            })
+            .collect();
+        AccessTrace::new(accesses, inst + 1)
+    }
+
+    /// The bounded profile agrees with the unbounded oracle's on every
+    /// query of the `1..=associativity` domain.
+    fn assert_bounded_matches_oracle(
+        bounded: &ReplayProfile,
+        oracle: &ReplayProfile,
+        assoc: usize,
+        params: &OverlapParams,
+    ) -> Result<(), String> {
+        prop_assert_eq!(bounded.records.len(), oracle.records.len());
+        for (b, o) in bounded.records.iter().zip(&oracle.records) {
+            let expected = if o.stack_distance as usize >= assoc {
+                COLD_DISTANCE
+            } else {
+                o.stack_distance
+            };
+            prop_assert_eq!(b.stack_distance, expected);
+            prop_assert_eq!((b.inst_index, b.dependent), (o.inst_index, o.dependent));
+        }
+        for w in 1..=assoc {
+            prop_assert_eq!(bounded.misses_at(w), oracle.misses_at(w));
+        }
+        prop_assert_eq!(bounded.miss_curve(assoc), oracle.miss_curve(assoc));
+        let per_way: Vec<u64> = (1..=assoc)
+            .map(|w| oracle.leading_misses_at(w, params))
+            .collect();
+        prop_assert_eq!(bounded.leading_miss_curve(assoc, params), per_way);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Stacks bounded to the associativity answer every query exactly
+        /// like unbounded stacks: after warm-up, across replays that carry
+        /// state, and after `reset()`, for full and set-sampled profilers.
+        #[test]
+        fn bounded_replay_matches_unbounded_oracle(
+            (sets_log, assoc) in (0u32..5, 1usize..17),
+            (sampling, offset) in (1usize..4, 0usize..4),
+            warm in prop::collection::vec((0u64..256, 1u64..40, 0u8..5), 0..300),
+            main in prop::collection::vec((0u64..256, 1u64..40, 0u8..5), 1..400),
+            (rob_entries, mshrs) in (1usize..300, 1usize..12),
+        ) {
+            let llc = LlcGeometry {
+                num_sets: 1 << sets_log,
+                associativity: assoc,
+                line_bytes: 64,
+            };
+            let params = OverlapParams { rob_entries, mshrs };
+            let (warm, main) = (trace_of(warm), trace_of(main));
+            let mut bounded = StackDistanceProfiler::sampled(&llc, sampling, offset);
+            let mut oracle = StackDistanceProfiler::unbounded_oracle(&llc, sampling, offset);
+            bounded.warm_up(&warm);
+            oracle.warm_up(&warm);
+            for step in 0..3 {
+                if step == 2 {
+                    bounded.reset();
+                    oracle.reset();
+                }
+                let (b, o) = (bounded.replay(&main), oracle.replay(&main));
+                assert_bounded_matches_oracle(&b, &o, assoc, &params)?;
+            }
+        }
+
+        /// The single-pass leading-miss curve equals one per-way pass at
+        /// every way count, on arbitrary distances, scales and overlap
+        /// parameters.
+        #[test]
+        fn leading_miss_curve_matches_per_way_passes(
+            raw in prop::collection::vec((0u32..24, 1u64..200, 0u8..4), 0..400),
+            (max_ways, scale) in (1usize..21, 1u64..5),
+            (rob_entries, mshrs) in (1usize..400, 0usize..12),
+        ) {
+            let mut inst = 0u64;
+            let records: Vec<AccessRecord> = raw
+                .into_iter()
+                .map(|(distance, gap, kind)| {
+                    inst += gap;
+                    AccessRecord {
+                        inst_index: inst,
+                        stack_distance: if distance >= 22 { COLD_DISTANCE } else { distance },
+                        dependent: kind == 0,
+                    }
+                })
+                .collect();
+            let profile = ReplayProfile::from_records(records, inst + 1, scale);
+            let params = OverlapParams { rob_entries, mshrs };
+            let per_way: Vec<u64> = (1..=max_ways)
+                .map(|w| profile.leading_misses_at(w, &params))
+                .collect();
+            prop_assert_eq!(profile.leading_miss_curve(max_ways, &params), per_way);
+        }
     }
 }

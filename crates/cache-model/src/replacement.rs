@@ -21,7 +21,8 @@ pub enum ReplacementPolicy {
 /// access is the position of its tag before the access (0-based), or `None`
 /// for a cold miss; an access with stack distance `d` hits in any cache with
 /// more than `d` ways and misses otherwise — the LRU stack property that lets
-/// a single pass produce the miss count for every associativity at once.
+/// a single pass produce the miss count for every associativity up to the
+/// capacity at once.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LruStack {
     /// Tags ordered from most recently used to least recently used.
@@ -30,10 +31,15 @@ pub struct LruStack {
 }
 
 impl LruStack {
-    /// Creates an empty stack bounded to `capacity` entries.
-    /// A capacity of `usize::MAX` keeps the full reuse history (used by the
-    /// stack-distance profiler, which needs distances beyond the
-    /// associativity as well).
+    /// Creates an empty stack bounded to `capacity` entries: exactly one
+    /// `capacity`-way LRU set.
+    ///
+    /// A tag pushed past the capacity is forgotten, so its next reference
+    /// reports `None` like a cold miss: distances below `capacity` are exact
+    /// and every distance `>= capacity` reads as `None`. By LRU inclusion
+    /// such an access misses with any `ways <= capacity`, so a stack bounded
+    /// to the associativity answers every way-allocation query exactly (the
+    /// stack-distance profiler relies on this).
     pub fn new(capacity: usize) -> Self {
         LruStack {
             stack: Vec::with_capacity(capacity.min(64)),
@@ -41,8 +47,10 @@ impl LruStack {
         }
     }
 
-    /// Creates an unbounded stack.
-    pub fn unbounded() -> Self {
+    /// Creates a stack that never forgets a tag, so its distances are exact
+    /// at any depth: the test oracle the bounded stacks are checked against.
+    #[cfg(test)]
+    pub(crate) fn unbounded() -> Self {
         LruStack::new(usize::MAX)
     }
 
@@ -50,19 +58,22 @@ impl LruStack {
     /// tag was not resident, i.e. a cold miss) and moves it to the MRU
     /// position, evicting the LRU entry if the capacity is exceeded.
     pub fn touch(&mut self, tag: u64) -> Option<usize> {
-        let pos = self.stack.iter().position(|&t| t == tag);
-        match pos {
+        match self.stack.iter().position(|&t| t == tag) {
             Some(p) => {
                 // Move to front.
-                self.stack.remove(p);
-                self.stack.insert(0, tag);
+                self.stack[..=p].rotate_right(1);
                 Some(p)
             }
             None => {
-                self.stack.insert(0, tag);
-                if self.stack.len() > self.capacity {
-                    self.stack.pop();
+                if self.stack.len() < self.capacity {
+                    self.stack.push(tag);
+                } else if let Some(lru) = self.stack.last_mut() {
+                    // Full: the LRU entry is evicted in place.
+                    *lru = tag;
+                } else {
+                    return None;
                 }
+                self.stack.rotate_right(1);
                 None
             }
         }

@@ -6,8 +6,8 @@ use crate::sync::LockUnpoisoned;
 use qosrm_core::{CurveCache, RmaWorkCounters};
 use qosrm_types::{PlatformConfig, QosSpec, ResourceManager};
 use rma_sim::{Comparison, CophaseSimulator, SimulationOptions, SimulationResult};
-use simdb::builder::{build_database_for_mixes, BuildOptions};
-use simdb::SimDb;
+use simdb::builder::BuildOptions;
+use simdb::{RecordStore, SimDb};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -83,6 +83,9 @@ pub struct ExperimentContext {
     /// Aggregated measured RMA work of every sweep-evaluated manager of the
     /// session (see [`RmaTelemetry`]).
     rma_telemetry: Arc<RmaTelemetry>,
+    /// Benchmark characterizations shared by every database the session
+    /// builds.
+    records: RecordStore,
     databases: Mutex<HashMap<String, SimDb>>,
 }
 
@@ -95,6 +98,7 @@ impl ExperimentContext {
             sweep: SweepOptions::default(),
             curve_cache: Arc::new(CurveCache::new()),
             rma_telemetry: Arc::new(RmaTelemetry::default()),
+            records: RecordStore::new(),
             databases: Mutex::new(HashMap::new()),
         }
     }
@@ -120,6 +124,12 @@ impl ExperimentContext {
     /// The session-wide aggregated RMA work telemetry.
     pub fn rma_telemetry(&self) -> &Arc<RmaTelemetry> {
         &self.rma_telemetry
+    }
+
+    /// The session's benchmark characterizations (its counters tell how many
+    /// records the session's database builds characterized and reused).
+    pub fn record_store(&self) -> &RecordStore {
+        &self.records
     }
 
     /// Workload prefix kept by quick mode (the representative subset the
@@ -163,10 +173,15 @@ impl ExperimentContext {
     /// Returns (building and caching if necessary) the simulation database
     /// covering `mixes` on `platform`.
     ///
-    /// The cache key digests the *full* platform configuration: the
-    /// simulator takes its platform from the database, so two platforms
+    /// The database cache key digests the *full* platform configuration:
+    /// the simulator takes its platform from the database, so two platforms
     /// differing in any parameter (e.g. only the baseline VF level, as in
-    /// E4's sensitivity axes) must never share a database.
+    /// E4's sensitivity axes) must never share a database. A new database is
+    /// assembled through the session's [`RecordStore`], which characterizes
+    /// only the benchmarks it has not seen under the platform's
+    /// characterizer inputs. With a cache directory, each database is one
+    /// JSON file there; a failed save is reported on stderr and never
+    /// repeats the build.
     pub fn database(&self, platform: &PlatformConfig, mixes: &[WorkloadMix]) -> SimDb {
         let mut names: Vec<&str> = mixes
             .iter()
@@ -189,15 +204,20 @@ impl ExperimentContext {
             }
         }
         let options = self.build_options(platform);
+        let build = || self.records.database_for_mixes(platform, mixes, &options);
         let db = if let Some(dir) = &self.cache_dir {
             let digest = fnv(&key);
             let path = dir.join(format!("simdb-{digest:016x}.json"));
-            simdb::persist::load_or_build(&path, || {
-                build_database_for_mixes(platform, mixes, &options)
-            })
-            .unwrap_or_else(|_| build_database_for_mixes(platform, mixes, &options))
+            let (db, saved) = simdb::persist::load_or_build(&path, build);
+            if let Err(e) = saved {
+                eprintln!(
+                    "warning: simulation database not cached at {}: {e}",
+                    path.display()
+                );
+            }
+            db
         } else {
-            build_database_for_mixes(platform, mixes, &options)
+            build()
         };
         self.databases.lock_unpoisoned().insert(key, db.clone());
         db
@@ -295,5 +315,23 @@ mod tests {
         let b = ctx.database(&platform, &mixes);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn unwritable_cache_dir_builds_each_database_once() {
+        let file = std::env::temp_dir().join(format!("qosrm_ctx_cache_{}", std::process::id()));
+        std::fs::write(&file, "a regular file, not a cache directory").unwrap();
+        let ctx = ExperimentContext::new(true).with_cache_dir(file.clone());
+        let platform = PlatformConfig::paper2(4);
+        let mixes = vec![WorkloadMix::new(
+            "t",
+            vec!["gamess_like", "povray_like", "gamess_like", "povray_like"],
+        )];
+        let db = ctx.database(&platform, &mixes);
+        assert_eq!(db, ExperimentContext::new(true).database(&platform, &mixes));
+        // The failed save neither loses the build nor repeats it.
+        let counters = ctx.record_store().counters();
+        assert_eq!((counters.records_built, counters.records_reused), (2, 0));
+        std::fs::remove_file(&file).ok();
     }
 }

@@ -63,6 +63,7 @@ pub use qosrm_proto::http;
 pub use client::{Client, ClientError};
 pub use load::{execute, plan, LoadConfig, LoadPlan, LoadReport};
 pub use server::{
-    run_id, CacheStats, RmaStats, RunStatus, ServeConfig, Server, StatsReport, STATS_SCHEMA,
+    run_id, CacheStats, RmaStats, RunStatus, ServeConfig, Server, SimdbStats, StatsReport,
+    STATS_SCHEMA,
 };
 pub use state::{RunMeta, RunState};

@@ -40,6 +40,7 @@ use qosrm_core::RmaWorkCounters;
 use qosrm_proto::{CompleteRequest, LeaseTelemetry};
 use qosrm_types::QosrmError;
 use serde::{Deserialize, Serialize};
+use simdb::StoreCounters;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -160,6 +161,22 @@ pub struct RmaStats {
     pub counters: RmaWorkCounters,
 }
 
+/// Simulation-database build work of one database mode, as reported on
+/// `/stats`: how many benchmark records the mode's session characterized
+/// and how many further databases assembled from stored records instead
+/// (see [`simdb::RecordStore`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SimdbStats {
+    /// Database mode the context serves (`quick` or `full`).
+    pub mode: String,
+    /// Benchmark records characterized since daemon start.
+    pub records_built: u64,
+    /// Phases characterized for those records.
+    pub phases_built: u64,
+    /// Benchmark records reused from the session store since daemon start.
+    pub records_reused: u64,
+}
+
 /// Counter snapshot within the `/stats` payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
@@ -204,6 +221,8 @@ pub struct StatsReport {
     pub counters: CounterSnapshot,
     /// Curve-cache telemetry per active database mode.
     pub curve_cache: Vec<CacheStats>,
+    /// Database-build work per active database mode.
+    pub simdb: Vec<SimdbStats>,
     /// Measured RMA work per active database mode (delta-path and
     /// chunked-kernel counters included).
     pub rma: Vec<RmaStats>,
@@ -940,14 +959,19 @@ fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result
         runs_failed: ServeCounters::read(&c.runs_failed),
         outcomes_streamed: ServeCounters::read(&c.outcomes_streamed),
     };
-    let (curve_cache, rma) = {
+    let (curve_cache, simdb, rma) = {
         let contexts = shared.contexts.lock_unpoisoned();
-        let mut stats: Vec<CacheStats> = contexts
+        let mut modes: Vec<(bool, &Arc<ExperimentContext>)> =
+            contexts.iter().map(|(quick, ctx)| (*quick, ctx)).collect();
+        // `full` (false) before `quick` (true).
+        modes.sort_by_key(|(quick, _)| *quick);
+        let label = |quick: bool| if quick { "quick" } else { "full" }.to_string();
+        let curve_cache = modes
             .iter()
             .map(|(quick, ctx)| {
                 let cache = ctx.curve_cache();
                 CacheStats {
-                    mode: if *quick { "quick" } else { "full" }.to_string(),
+                    mode: label(*quick),
                     entries: cache.len(),
                     hits: cache.hits(),
                     misses: cache.misses(),
@@ -957,16 +981,32 @@ fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result
                 }
             })
             .collect();
-        stats.sort_by(|a, b| a.mode.cmp(&b.mode));
-        let mut rma: Vec<RmaStats> = contexts
+        let simdb = modes
+            .iter()
+            .map(|(quick, ctx)| {
+                // Exhaustive destructuring (no `..`): a new store counter
+                // fails compilation here until `/stats` reports it.
+                let StoreCounters {
+                    records_built,
+                    phases_built,
+                    records_reused,
+                } = ctx.record_store().counters();
+                SimdbStats {
+                    mode: label(*quick),
+                    records_built,
+                    phases_built,
+                    records_reused,
+                }
+            })
+            .collect();
+        let rma = modes
             .iter()
             .map(|(quick, ctx)| RmaStats {
-                mode: if *quick { "quick" } else { "full" }.to_string(),
+                mode: label(*quick),
                 counters: ctx.rma_telemetry().snapshot(),
             })
             .collect();
-        rma.sort_by(|a, b| a.mode.cmp(&b.mode));
-        (stats, rma)
+        (curve_cache, simdb, rma)
     };
     let report = StatsReport {
         schema: STATS_SCHEMA.to_string(),
@@ -976,6 +1016,7 @@ fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result
         runs: tallies,
         counters,
         curve_cache,
+        simdb,
         rma,
         leases: shared.lease_counters.snapshot(),
     };

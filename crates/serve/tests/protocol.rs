@@ -5,7 +5,7 @@
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
 use experiments::{ExperimentContext, QosAxis, RmaVariant, ScenarioSpec, SweepOptions};
 use qosrm_serve::{Client, ClientError, ServeConfig, Server};
-use qosrm_types::QosSpec;
+use qosrm_types::{FreqLevel, PlatformConfig, QosSpec};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -247,6 +247,42 @@ fn identical_submissions_deduplicate_to_one_run() {
     assert_eq!(stats.counters.deduplicated, 1);
     assert_eq!(stats.counters.admitted, 2);
     wait_terminal(&client, &a.id);
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_second_database_reuses_the_overlapping_benchmark_records() {
+    let (mut server, client, dir) = start("records", ServeConfig::default());
+    let first = tiny_spec("records-a", 31, 2);
+    // The same mixes on an E4-style platform (another baseline VF level): a
+    // different database, but the same characterizer inputs.
+    let mut second = first.clone();
+    second.name = "records-b".to_string();
+    let mut platform = PlatformConfig::paper1(4);
+    platform.vf = platform.vf.with_baseline(FreqLevel(8)).unwrap();
+    assert_ne!(platform, PlatformConfig::paper1(4));
+    second.platforms[0].platform = PlatformSpec::Custom(platform);
+
+    let run = |spec: &ScenarioSpec| {
+        let payload = serde_json::to_string(spec).unwrap();
+        let (created, status) = client.submit(&payload, "t", true, 2).unwrap();
+        assert!(created);
+        assert_eq!(wait_terminal(&client, &status.id), "complete");
+        let stats = client.stats().unwrap();
+        let quick = stats.simdb.iter().find(|s| s.mode == "quick");
+        quick.expect("quick-mode database stats").clone()
+    };
+    let after_first = run(&first);
+    assert!(after_first.records_built > 0);
+    assert_eq!(after_first.records_reused, 0);
+    let after_second = run(&second);
+    assert_eq!(
+        (after_second.records_built, after_second.phases_built),
+        (after_first.records_built, after_first.phases_built),
+        "no benchmark may be characterized twice"
+    );
+    assert_eq!(after_second.records_reused, after_first.records_built);
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,12 @@
 //! resource-management experiments reuse. This crate reproduces that step:
 //!
 //! * [`builder`] characterizes every phase of every requested benchmark in
-//!   parallel (Rayon) using the `workload` and `cache-model` substrates;
+//!   parallel (Rayon) using the `workload` and `cache-model` substrates. Its
+//!   [`RecordStore`] keeps those characterizations for a session, keyed by
+//!   the inputs the characterizer reads, so each benchmark is characterized
+//!   once and every further database on a compatible platform is assembled
+//!   from stored records (only the platform-dependent category is
+//!   recomputed);
 //! * [`record`] stores the per-benchmark phase characterizations, phase
 //!   traces and categories;
 //! * [`ground_truth`] evaluates timing (via `core-model`) and energy (via
@@ -25,6 +30,6 @@ pub mod ground_truth;
 pub mod persist;
 pub mod record;
 
-pub use builder::{build_database, BuildOptions};
+pub use builder::{build_database, BuildOptions, RecordStore, StoreCounters};
 pub use ground_truth::GroundTruth;
 pub use record::{BenchmarkRecord, SimDb};

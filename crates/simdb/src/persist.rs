@@ -141,18 +141,26 @@ pub fn load(path: &Path) -> Result<SimDb, QosrmError> {
     Ok(db)
 }
 
-/// Loads a cached database if `path` exists, otherwise builds it with
-/// `build` and saves the result.
-pub fn load_or_build(path: &Path, build: impl FnOnce() -> SimDb) -> Result<SimDb, QosrmError> {
+/// Loads a cached database if `path` holds a valid one, otherwise builds it
+/// with `build` (exactly once) and saves the result.
+///
+/// The cache only saves work, so a failed save (read-only directory, full
+/// disk, a cache path under a regular file) never costs the build: the
+/// database comes back together with the save outcome, for the caller to
+/// report as a warning.
+pub fn load_or_build(
+    path: &Path,
+    build: impl FnOnce() -> SimDb,
+) -> (SimDb, Result<(), QosrmError>) {
     if path.exists() {
         if let Ok(db) = load(path) {
-            return Ok(db);
+            return (db, Ok(()));
         }
         // A corrupt or stale cache falls through to a rebuild.
     }
     let db = build();
-    save(&db, path)?;
-    Ok(db)
+    let saved = save(&db, path);
+    (db, saved)
 }
 
 #[cfg(test)]
@@ -191,20 +199,39 @@ mod tests {
         let path = dir.join("cache.json");
         fs::remove_file(&path).ok();
         let mut builds = 0;
-        let db1 = load_or_build(&path, || {
+        let (db1, saved) = load_or_build(&path, || {
             builds += 1;
             tiny_db()
-        })
-        .unwrap();
+        });
+        saved.unwrap();
         assert_eq!(builds, 1);
-        let db2 = load_or_build(&path, || {
+        let (db2, saved) = load_or_build(&path, || {
             builds += 1;
             tiny_db()
-        })
-        .unwrap();
+        });
+        saved.unwrap();
         assert_eq!(builds, 1, "second call must hit the cache");
         assert_eq!(db1, db2);
         fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_cache_save_still_builds_exactly_once() {
+        let dir =
+            std::env::temp_dir().join(format!("qosrm_simdb_unwritable_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        // The cache directory is a regular file, so the save cannot succeed.
+        let not_a_dir = dir.join("cache");
+        fs::write(&not_a_dir, "a file, not a directory").unwrap();
+        let mut builds = 0;
+        let (db, saved) = load_or_build(&not_a_dir.join("simdb.json"), || {
+            builds += 1;
+            tiny_db()
+        });
+        assert_eq!(builds, 1);
+        assert!(saved.is_err(), "saving under a regular file must fail");
+        assert_eq!(db, tiny_db());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -251,7 +278,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corrupt.json");
         fs::write(&path, "this is not json").unwrap();
-        let db = load_or_build(&path, tiny_db).unwrap();
+        let (db, saved) = load_or_build(&path, tiny_db);
+        saved.unwrap();
         assert_eq!(db.len(), 1);
         fs::remove_file(&path).ok();
     }

@@ -12,7 +12,7 @@
 
 use crate::phase::PhaseSpec;
 use crate::stream::StreamGenerator;
-use cache_model::{MlpAtd, MlpAtdConfig, OverlapParams, StackDistanceProfiler};
+use cache_model::{MlpAtd, MlpAtdConfig, OverlapParams, ReplayProfile, StackDistanceProfiler};
 use core_model::{exec_cpi_curve, PhaseCharacterization};
 use qosrm_types::{LlcGeometry, PlatformConfig, QosrmError};
 use serde::{Deserialize, Serialize};
@@ -156,12 +156,12 @@ impl PhaseCharacterizer {
         let atd_profile = atd.replay(&main_trace);
 
         let scale = self.config.scale;
-        let misses_per_way: Vec<u64> = (1..=assoc)
-            .map(|w| exact_profile.misses_at(w) * scale)
-            .collect();
-        let atd_misses_per_way: Vec<u64> = (1..=assoc)
-            .map(|w| atd_profile.misses_at(w) * scale)
-            .collect();
+        let scaled_curve = |profile: &ReplayProfile| -> Vec<u64> {
+            let curve = profile.miss_curve(assoc);
+            curve.as_slice().iter().map(|&m| m * scale).collect()
+        };
+        let misses_per_way = scaled_curve(&exact_profile);
+        let atd_misses_per_way = scaled_curve(&atd_profile);
 
         let mlp_config = MlpAtdConfig {
             set_sampling: 1,

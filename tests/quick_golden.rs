@@ -18,7 +18,11 @@ fn render_quick_suite(ctx: &ExperimentContext) -> String {
     let mut out =
         String::from("qosrm-experiments: reproducing the paper's evaluation (quick mode)\n\n");
     for id in ALL_EXPERIMENTS {
-        out.push_str(&run_experiment(id, ctx).expect("registered experiment").render());
+        out.push_str(
+            &run_experiment(id, ctx)
+                .expect("registered experiment")
+                .render(),
+        );
     }
     out
 }
@@ -37,11 +41,30 @@ fn quick_suite_matches_the_committed_golden() {
             .lines()
             .zip(golden.lines())
             .position(|(a, b)| a != b)
-            .map_or_else(|| "a length difference".to_string(), |i| format!("line {}", i + 1));
+            .map_or_else(
+                || "a length difference".to_string(),
+                |i| format!("line {}", i + 1),
+            );
         panic!(
             "quick-suite output drifted from tests/golden/quick_suite.txt (first \
              difference at {line}); rerun with QOSRM_UPDATE_GOLDEN=1 only for a \
              deliberate output change"
         );
     }
+}
+
+#[test]
+fn cold_quick_suite_characterizes_each_record_once() {
+    let ctx = ExperimentContext::new(true);
+    render_quick_suite(&ctx);
+    // The suite's 13 databases hold 97 benchmark records (269 phases); only
+    // 30 records (81 phases) are distinct under the characterizer's inputs.
+    assert_eq!(
+        ctx.record_store().counters(),
+        simdb::StoreCounters {
+            records_built: 30,
+            phases_built: 81,
+            records_reused: 67,
+        }
+    );
 }
