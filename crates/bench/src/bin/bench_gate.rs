@@ -1,6 +1,5 @@
-//! The CI performance-regression gate: runs the fixed simulator-loop and
-//! global-optimizer workloads, writes `BENCH_*.json` reports and fails when
-//! wall time regresses beyond the tolerance. See [`qosrm_bench::gate`].
+//! The CI performance-regression gate: runs the fixed workloads, writes the
+//! `BENCH_*.json` reports and fails on a regression. See [`qosrm_bench::gate`].
 
 use std::process::ExitCode;
 

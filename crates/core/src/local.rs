@@ -135,8 +135,8 @@ impl LocalOptimizer {
     ///
     /// Kept as the behavioural oracle for the staged
     /// [`CurveBuilder`] — the property
-    /// tests assert bit-identical output, and the `optimizer_scaling`
-    /// criterion bench compares the two paths' cost. Not used in production.
+    /// tests assert bit-identical output, and the `local_opt` workload of
+    /// `bench_gate` compares the two paths' cost. Not used in production.
     pub fn energy_curve_scalar_reference(
         &self,
         observation: &CoreObservation,

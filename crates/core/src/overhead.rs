@@ -7,7 +7,7 @@
 //! module provides the equivalent estimate for our implementation by counting
 //! the dominant operations (model evaluations in the local step, cell updates
 //! in the pairwise reduction) and multiplying by a per-operation instruction
-//! cost; the criterion benches measure the actual wall-clock cost.
+//! cost; `bench_gate` measures the actual wall-clock cost.
 
 use qosrm_types::PlatformConfig;
 use serde::{Deserialize, Serialize};

@@ -64,8 +64,8 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "e5",
         "Paper I: software overhead of one Combined RMA invocation \
-         (measured evaluation and reduction-cell counts; see the criterion \
-         bench `rma_overhead` for measured time)",
+         (measured evaluation and reduction-cell counts; see the `kernels` cold \
+         `CoordinatedRma::paper1` schedule of `bench_gate` for measured time)",
     );
 
     let overhead = OverheadModel::default();

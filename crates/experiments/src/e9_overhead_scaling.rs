@@ -23,8 +23,8 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "e9",
         "Paper II: RM3 software overhead versus core count \
-         (measured evaluation and reduction-cell counts; see the criterion \
-         bench `optimizer_scaling` for measured time)",
+         (measured evaluation and reduction-cell counts; see the `local_opt` and \
+         `global_opt` workloads of `bench_gate` for measured time)",
     );
 
     let overhead = OverheadModel::default();
