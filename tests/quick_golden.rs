@@ -1,9 +1,10 @@
-//! Golden lock of the quick suite: E1–E10 rendered on a cold quick-mode
-//! context must equal, byte for byte, the committed stdout of
-//! `qosrm_experiments --quick` (`tests/golden/quick_suite.txt`).
+//! Golden locks of the paper suite: E1–E10 rendered on a cold context must
+//! equal, byte for byte, the committed stdout of `qosrm_experiments --quick`
+//! (`tests/golden/quick_suite.txt`) and of `qosrm_experiments` in full mode
+//! (`tests/golden/full_suite.txt`).
 //!
 //! Every optimization of the pipeline (database build, simulator, RMA
-//! kernels) runs under this contract. Regenerate the golden only for a
+//! kernels) runs under this contract. Regenerate the goldens only for a
 //! deliberate, justified output change:
 //!
 //! ```sh
@@ -13,10 +14,10 @@
 use experiments::{run_experiment, ExperimentContext, ALL_EXPERIMENTS};
 use std::path::PathBuf;
 
-/// The stdout of `qosrm_experiments --quick`, rendered in-process.
-fn render_quick_suite(ctx: &ExperimentContext) -> String {
+/// The stdout of `qosrm_experiments [--quick]`, rendered in-process.
+fn render_suite(ctx: &ExperimentContext, mode: &str) -> String {
     let mut out =
-        String::from("qosrm-experiments: reproducing the paper's evaluation (quick mode)\n\n");
+        format!("qosrm-experiments: reproducing the paper's evaluation ({mode} mode)\n\n");
     for id in ALL_EXPERIMENTS {
         out.push_str(
             &run_experiment(id, ctx)
@@ -27,13 +28,14 @@ fn render_quick_suite(ctx: &ExperimentContext) -> String {
     out
 }
 
-#[test]
-fn quick_suite_matches_the_committed_golden() {
-    let ctx = ExperimentContext::new(true);
-    let rendered = render_quick_suite(&ctx);
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_suite.txt");
+/// Compares `rendered` with `tests/golden/<name>`, rewriting the golden
+/// first when `QOSRM_UPDATE_GOLDEN` is set.
+fn assert_matches_golden(rendered: &str, name: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var("QOSRM_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, &rendered).expect("golden writes");
+        std::fs::write(&path, rendered).expect("golden writes");
     }
     let golden = std::fs::read_to_string(&path).expect("committed golden reads");
     if rendered != golden {
@@ -46,17 +48,29 @@ fn quick_suite_matches_the_committed_golden() {
                 |i| format!("line {}", i + 1),
             );
         panic!(
-            "quick-suite output drifted from tests/golden/quick_suite.txt (first \
-             difference at {line}); rerun with QOSRM_UPDATE_GOLDEN=1 only for a \
-             deliberate output change"
+            "suite output drifted from tests/golden/{name} (first difference at \
+             {line}); rerun with QOSRM_UPDATE_GOLDEN=1 only for a deliberate \
+             output change"
         );
     }
 }
 
 #[test]
+fn quick_suite_matches_the_committed_golden() {
+    let ctx = ExperimentContext::new(true);
+    assert_matches_golden(&render_suite(&ctx, "quick"), "quick_suite.txt");
+}
+
+#[test]
+fn full_suite_matches_the_committed_golden() {
+    let ctx = ExperimentContext::new(false);
+    assert_matches_golden(&render_suite(&ctx, "full"), "full_suite.txt");
+}
+
+#[test]
 fn cold_quick_suite_characterizes_each_record_once() {
     let ctx = ExperimentContext::new(true);
-    render_quick_suite(&ctx);
+    render_suite(&ctx, "quick");
     // The suite's 13 databases hold 97 benchmark records (269 phases); only
     // 30 records (81 phases) are distinct under the characterizer's inputs.
     assert_eq!(
