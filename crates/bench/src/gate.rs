@@ -776,7 +776,7 @@ fn run_kernels(reps: usize, calls_per_case: usize, delta_rounds: usize) -> Measu
 
     // Two observations per core from a real quick database; every round
     // one core's observation toggles while the other three recur, which is
-    // the phase-stable pattern the digest diff is built for.
+    // the phase-stable pattern the delta path is built for.
     let platform = PlatformConfig::paper1(4);
     let mix_b = vec!["povray_like", "mcf_like", "gamess_like", "soplex_like"];
     let mixes = [crate::default_mix(), WorkloadMix::new("bench-mix-b", mix_b)];
@@ -844,7 +844,7 @@ fn run_kernels(reps: usize, calls_per_case: usize, delta_rounds: usize) -> Measu
     let (cold_builds, delta_builds) = (cold.curve_builds, delta.curve_builds);
     assert!(
         delta_builds < cold_builds,
-        "digest diffing must cut curve builds ({delta_builds} vs {cold_builds})"
+        "the delta path must cut curve builds ({delta_builds} vs {cold_builds})"
     );
     assert!(delta.delta_invocations > 0);
     assert!(delta.warm_rows_reused > 0);

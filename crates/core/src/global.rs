@@ -800,6 +800,14 @@ impl IncrementalOptimizer {
         self.state = None;
     }
 
+    /// Rows (leaf and inner) of the retained arena: what a call with
+    /// nothing dirty reports as [`WarmStats::rows_reused`].
+    pub fn retained_rows(&self) -> u64 {
+        self.state
+            .as_ref()
+            .map_or(0, |(arena, _)| arena.nodes.len() as u64)
+    }
+
     /// Optimizes `curves` over `total_ways`, reusing every arena row whose
     /// subtree inputs are unchanged. `dirty[i]` must be true whenever
     /// `curves[i]` may differ (in any bit) from the curve passed at the

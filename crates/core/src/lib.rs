@@ -71,7 +71,7 @@ pub use global::{
     WarmStats,
 };
 pub use local::{LocalOptimizer, LocalOptimizerConfig};
-pub use memo::{CurveCache, CurveKey, ObservationDigests};
+pub use memo::{CurveCache, CurveKey};
 pub use model::{AnalyticalEnergyModel, ModelKind, PerformanceModel, Prediction};
 pub use overhead::OverheadModel;
 pub use rma::{CoordinatedRma, RmaConfig, RmaWorkCounters};

@@ -30,9 +30,13 @@
 //! fails compilation here until the digest covers it. At the cache sizes a
 //! sweep produces (well below 2³⁰ entries) collisions are vanishingly
 //! unlikely.
+//!
+//! The incremental delta path of [`crate::CoordinatedRma`] does not trust a
+//! digest: it keeps each core's previous observation and compares the new
+//! one bit for bit ([`same_observation`]), so its curve reuse is exact.
 
 use crate::curve::EnergyCurve;
-use qosrm_types::{CoreObservation, QosSpec};
+use qosrm_types::{ConfigMetrics, CoreObservation, IntervalStats, QosSpec};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,7 +143,7 @@ pub fn fingerprint<T: Serialize>(value: &T) -> CurveKey {
 /// observation handed to the local optimizer.
 ///
 /// The observation is digested field-by-field (no intermediate value tree):
-/// this runs on every RMA invocation — including cache hits — so the key
+/// this runs on every curve-cache lookup — hits included — so the key
 /// derivation must not allocate.
 pub fn curve_key(config: CurveKey, qos: QosSpec, observation: &CoreObservation) -> CurveKey {
     let mut digest = Digest::new();
@@ -163,7 +167,7 @@ fn digest_observation(digest: &mut Digest, observation: &CoreObservation) {
         scaling_profile,
         perfect,
     } = observation;
-    let qosrm_types::IntervalStats {
+    let IntervalStats {
         instructions,
         cycles,
         exec_cycles,
@@ -245,56 +249,88 @@ fn digest_observation(digest: &mut Digest, observation: &CoreObservation) {
     }
 }
 
-/// Per-core observation digests of the previous RMA interval.
-///
-/// The incremental invocation path (see
-/// [`crate::CoordinatedRma::with_incremental`]) needs to know *which* cores'
-/// inputs changed between consecutive intervals, not just whether the whole
-/// invocation recurred. This holds one full [`curve_key`] per core — the same
-/// 128-bit digest the [`CurveCache`] trusts for curve identity — so "digest
-/// unchanged" carries exactly the bit-identical-curve guarantee the cache
-/// already relies on.
-#[derive(Debug, Clone, Default)]
-pub struct ObservationDigests {
-    keys: Vec<Option<CurveKey>>,
+/// Whether two observations are identical bit for bit: integers by value
+/// and every `f64` by [`f64::to_bits`], so `-0.0` differs from `0.0` and
+/// NaN payloads are told apart. A curve is a pure function of its
+/// observation, so the delta path of [`crate::CoordinatedRma`] keeps a
+/// core's retained curve exactly when the new observation passes this test
+/// against the previous one.
+pub fn same_observation(a: &CoreObservation, b: &CoreObservation) -> bool {
+    // Exhaustive destructuring (no `..`), as in `digest_observation`:
+    // adding a field to CoreObservation or IntervalStats fails compilation
+    // here until the comparison covers it.
+    let CoreObservation {
+        app,
+        stats,
+        miss_profile,
+        mlp_profile,
+        scaling_profile,
+        perfect,
+    } = a;
+    let IntervalStats {
+        instructions,
+        cycles,
+        exec_cycles,
+        llc_accesses,
+        llc_misses,
+        leading_misses,
+        elapsed_seconds,
+        freq,
+        core_size,
+        ways,
+    } = *stats;
+    let other = &b.stats;
+    *app == b.app
+        && instructions == other.instructions
+        && cycles == other.cycles
+        && exec_cycles == other.exec_cycles
+        && llc_accesses == other.llc_accesses
+        && llc_misses == other.llc_misses
+        && leading_misses == other.leading_misses
+        && elapsed_seconds.to_bits() == other.elapsed_seconds.to_bits()
+        && freq == other.freq
+        && core_size == other.core_size
+        && ways == other.ways
+        && miss_profile.as_slice() == b.miss_profile.as_slice()
+        && same_option(mlp_profile, &b.mlp_profile, |x, y| {
+            x.as_rows() == y.as_rows()
+        })
+        && same_option(scaling_profile, &b.scaling_profile, |x, y| {
+            same_slices(x.as_slice(), y.as_slice(), |p, q| {
+                p.to_bits() == q.to_bits()
+            })
+        })
+        && same_option(perfect, &b.perfect, |x, y| {
+            x.num_core_sizes() == y.num_core_sizes()
+                && x.num_freqs() == y.num_freqs()
+                && x.num_ways() == y.num_ways()
+                && same_slices(x.as_slice(), y.as_slice(), same_metrics)
+        })
 }
 
-impl ObservationDigests {
-    /// Creates an empty digest set (every core reads as changed).
-    pub fn new() -> Self {
-        ObservationDigests::default()
+fn same_option<T>(a: &Option<T>, b: &Option<T>, same: impl FnOnce(&T, &T) -> bool) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => same(a, b),
+        _ => false,
     }
+}
 
-    /// Number of cores with a recorded digest.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
+fn same_slices<T>(a: &[T], b: &[T], same: impl Fn(&T, &T) -> bool) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same(x, y))
+}
 
-    /// Whether no digests are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Records `key` as core `core`'s digest for the current interval and
-    /// reports whether it matches the digest recorded for the previous
-    /// interval. A core never seen before (or cleared by [`reset`]) always
-    /// reads as changed.
-    ///
-    /// [`reset`]: ObservationDigests::reset
-    pub fn note(&mut self, core: usize, key: CurveKey) -> bool {
-        if core >= self.keys.len() {
-            self.keys.resize(core + 1, None);
-        }
-        let unchanged = self.keys[core] == Some(key);
-        self.keys[core] = Some(key);
-        unchanged
-    }
-
-    /// Forgets all recorded digests: the next interval diffs against
-    /// nothing, so every core reads as changed (a cold invocation).
-    pub fn reset(&mut self) {
-        self.keys.clear();
-    }
+fn same_metrics(a: &ConfigMetrics, b: &ConfigMetrics) -> bool {
+    let ConfigMetrics {
+        time_seconds,
+        energy_joules,
+        llc_misses,
+        leading_misses,
+    } = *a;
+    time_seconds.to_bits() == b.time_seconds.to_bits()
+        && energy_joules.to_bits() == b.energy_joules.to_bits()
+        && llc_misses == b.llc_misses
+        && leading_misses == b.leading_misses
 }
 
 const NUM_SHARDS: usize = 16;
@@ -469,7 +505,7 @@ mod tests {
     use super::*;
     use crate::curve::CurvePoint;
     use qosrm_types::{
-        AppId, CoreScalingProfile, CoreSizeIdx, FreqLevel, IntervalStats, MissProfile, MlpProfile,
+        AppId, ConfigTable, CoreScalingProfile, CoreSizeIdx, FreqLevel, MissProfile, MlpProfile,
     };
 
     fn observation(llc_misses: u64) -> CoreObservation {
@@ -505,22 +541,63 @@ mod tests {
     }
 
     #[test]
-    fn observation_digests_flag_only_changed_cores() {
-        let mut digests = ObservationDigests::new();
-        assert!(digests.is_empty());
-        // First interval: nothing recorded yet, every core reads changed.
-        assert!(!digests.note(0, (1, 1)));
-        assert!(!digests.note(1, (2, 2)));
-        assert_eq!(digests.len(), 2);
-        // Second interval: core 0 recurs, core 1 changed.
-        assert!(digests.note(0, (1, 1)));
-        assert!(!digests.note(1, (3, 3)));
-        // A core index never seen before reads changed and grows the set.
-        assert!(!digests.note(4, (9, 9)));
-        assert_eq!(digests.len(), 5);
-        // Reset forgets everything: next interval is cold again.
-        digests.reset();
-        assert!(!digests.note(0, (1, 1)));
+    fn identical_observations_compare_equal() {
+        let mut with_table = observation(500);
+        with_table.perfect = Some(table(0));
+        assert!(same_observation(&observation(500), &observation(500)));
+        assert!(same_observation(&with_table, &with_table.clone()));
+        assert!(!same_observation(&observation(500), &observation(501)));
+        assert!(!same_observation(&observation(500), &with_table));
+    }
+
+    #[test]
+    fn signed_zeros_read_as_changed() {
+        let mut zero = observation(500);
+        zero.stats.elapsed_seconds = 0.0;
+        let mut negative_zero = zero.clone();
+        negative_zero.stats.elapsed_seconds = -0.0;
+        assert_eq!(
+            zero, negative_zero,
+            "derived equality cannot tell them apart"
+        );
+        assert!(!same_observation(&zero, &negative_zero));
+    }
+
+    #[test]
+    fn nan_payloads_read_as_changed() {
+        let quiet = f64::from_bits(0x7ff8_0000_0000_0001);
+        let other = f64::from_bits(0x7ff8_0000_0000_0002);
+        let with_cpi = |cpi: f64| {
+            let mut obs = observation(500);
+            obs.scaling_profile = Some(CoreScalingProfile::new(vec![cpi, 1.0, 0.9]));
+            obs
+        };
+        assert!(same_observation(&with_cpi(quiet), &with_cpi(quiet)));
+        assert!(!same_observation(&with_cpi(quiet), &with_cpi(other)));
+    }
+
+    #[test]
+    fn one_cell_of_a_perfect_table_reads_as_changed() {
+        let mut a = observation(500);
+        a.perfect = Some(table(0));
+        let mut b = observation(500);
+        b.perfect = Some(table(37));
+        assert!(!same_observation(&a, &b));
+    }
+
+    /// A ground-truth table whose energy differs from the base table in the
+    /// single cell numbered `bumped` (0 means none).
+    fn table(bumped: usize) -> ConfigTable {
+        let mut cell = 0;
+        ConfigTable::from_fn(3, 13, 16, |_, _, ways| {
+            cell += 1;
+            ConfigMetrics {
+                time_seconds: 0.01 * ways as f64,
+                energy_joules: if cell == bumped { 1.5 } else { 1.0 },
+                llc_misses: 100,
+                leading_misses: 50,
+            }
+        })
     }
 
     #[test]

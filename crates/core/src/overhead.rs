@@ -35,26 +35,33 @@ impl Default for OverheadModel {
 }
 
 impl OverheadModel {
-    /// Estimated instructions of one invocation on `platform` when the local
-    /// step evaluates `local_evaluations` candidate configurations.
+    /// Estimated instructions of one invocation on `num_cores` cores sharing
+    /// an `associativity`-way LLC when the local step evaluates
+    /// `local_evaluations` candidate configurations.
     ///
     /// The global step combines one curve per core over `associativity` ways:
     /// `(cores - 1)` pairwise reductions of at most `associativity²` cells.
     pub fn invocation_instructions(
         &self,
-        platform: &PlatformConfig,
+        num_cores: usize,
+        associativity: usize,
         local_evaluations: usize,
     ) -> u64 {
-        let ways = platform.llc.associativity as u64;
-        let reductions = platform.num_cores.saturating_sub(1) as u64;
+        let ways = associativity as u64;
+        let reductions = num_cores.saturating_sub(1) as u64;
         self.fixed_instructions
             + self.instructions_per_evaluation * local_evaluations as u64
             + self.instructions_per_reduction_cell * reductions * ways * ways
     }
 
-    /// The invocation cost as a fraction of an execution interval.
+    /// The invocation cost on `platform` as a fraction of an execution
+    /// interval.
     pub fn fraction_of_interval(&self, platform: &PlatformConfig, local_evaluations: usize) -> f64 {
-        self.invocation_instructions(platform, local_evaluations) as f64
+        self.invocation_instructions(
+            platform.num_cores,
+            platform.llc.associativity,
+            local_evaluations,
+        ) as f64
             / platform.interval_instructions as f64
     }
 
@@ -84,30 +91,6 @@ impl OverheadModel {
         self.invocation_instructions_measured(local_evaluations, reduction_cells) as f64
             / platform.interval_instructions as f64
     }
-
-    /// Estimated *average* instructions of one invocation on the
-    /// incremental delta path, from a manager's cumulative measured
-    /// counters (`qosrm_core::RmaWorkCounters`): the model evaluations and
-    /// convolution cells already reflect the work the digest diff and the
-    /// warm-row arena skipped, so the only addition is one digest
-    /// derivation per invocation — charged at one instruction per digested
-    /// byte-equivalent unit via `digest_units` (the observation's field
-    /// count, a few dozen). Returns 0 for a manager that was never invoked.
-    pub fn delta_invocation_instructions_measured(
-        &self,
-        invocations: u64,
-        local_evaluations: u64,
-        reduction_cells: u64,
-        digest_units: u64,
-    ) -> u64 {
-        if invocations == 0 {
-            return 0;
-        }
-        let total = invocations * (self.fixed_instructions + digest_units)
-            + self.instructions_per_evaluation * local_evaluations
-            + self.instructions_per_reduction_cell * reduction_cells;
-        total.div_ceil(invocations)
-    }
 }
 
 #[cfg(test)]
@@ -118,9 +101,9 @@ mod tests {
     fn overhead_scales_with_core_count() {
         let model = OverheadModel::default();
         let evals = 16 * 3 * 13 + 1;
-        let two = model.invocation_instructions(&PlatformConfig::paper2(2), evals);
-        let four = model.invocation_instructions(&PlatformConfig::paper2(4), evals);
-        let eight = model.invocation_instructions(&PlatformConfig::paper2(8), evals);
+        let two = model.invocation_instructions(2, 16, evals);
+        let four = model.invocation_instructions(4, 16, evals);
+        let eight = model.invocation_instructions(8, 16, evals);
         assert!(two < four && four < eight);
         // Same order of magnitude as the paper's 18K/40K/67K measurements.
         assert!(two > 5_000 && two < 40_000, "two-core estimate {two}");
@@ -144,7 +127,7 @@ mod tests {
         let model = OverheadModel::default();
         let p = PlatformConfig::paper2(4);
         let worst_evals = 16 * 3 * 13 + 1;
-        let worst = model.invocation_instructions(&p, worst_evals);
+        let worst = model.invocation_instructions(p.num_cores, p.llc.associativity, worst_evals);
         // Measured counters can only be smaller: fewer evaluations (QoS
         // pruning) and fewer cells (lower-bound pruning).
         let measured = model.invocation_instructions_measured(300, 500);
@@ -156,28 +139,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_path_average_reflects_skipped_work() {
-        let model = OverheadModel::default();
-        // Ten invocations, but the delta path only built two curves and
-        // recombined a fraction of the reduction cells: the per-invocation
-        // average must undercut the cold measured cost of a full build.
-        let cold = model.invocation_instructions_measured(300, 500);
-        let delta = model.delta_invocation_instructions_measured(10, 2 * 300, 2 * 500, 64);
-        assert!(delta < cold, "delta average {delta} vs cold {cold}");
-        // The digest derivation is charged on every invocation.
-        assert!(delta > model.delta_invocation_instructions_measured(10, 2 * 300, 2 * 500, 0));
-        assert_eq!(model.delta_invocation_instructions_measured(0, 0, 0, 64), 0);
-    }
-
-    #[test]
     fn paper1_configuration_is_cheaper() {
         let model = OverheadModel::default();
         let paper1_evals = 16 * 13 + 1;
         let paper2_evals = 16 * 3 * 13 + 1;
         let p = PlatformConfig::paper2(4);
         assert!(
-            model.invocation_instructions(&p, paper1_evals)
-                < model.invocation_instructions(&p, paper2_evals)
+            model.invocation_instructions(p.num_cores, p.llc.associativity, paper1_evals)
+                < model.invocation_instructions(p.num_cores, p.llc.associativity, paper2_evals)
         );
     }
 }

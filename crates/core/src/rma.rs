@@ -4,7 +4,7 @@ use crate::curve::EnergyCurve;
 use crate::game::{self, GameConfig, PartitionAlgo};
 use crate::global::{incumbent_energy, optimize_partition_with_stats, IncrementalOptimizer};
 use crate::local::{LocalOptimizer, LocalOptimizerConfig};
-use crate::memo::{self, CurveCache, CurveKey, ObservationDigests};
+use crate::memo::{self, CurveCache, CurveKey};
 use crate::model::ModelKind;
 use crate::overhead::OverheadModel;
 use power_model::EnergyParams;
@@ -43,15 +43,16 @@ pub struct RmaConfig {
     /// energy curves do not depend on how the global step distributes ways,
     /// so cooperative and game-theoretic managers share cache entries.
     pub partition_algo: PartitionAlgo,
-    /// Whether the manager takes the incremental delta path: per-core
-    /// observation digests are diffed against the previous interval, an
-    /// unchanged core reuses its retained curve without rebuilding, and the
+    /// Whether the manager takes the incremental delta path: each core's
+    /// observation is compared bit for bit with its previous one, an
+    /// unchanged core keeps its retained curve without rebuilding, the
     /// cooperative global step re-runs a warm-row arena with the previous
-    /// allocation as its pruning incumbent. Results are bit-identical to
-    /// the cold path; only the *measured work* differs, which is why the
-    /// flag defaults to off — the overhead experiments (E5/E9) report the
-    /// cold per-invocation cost. Like `partition_algo`, deliberately absent
-    /// from the configuration fingerprint.
+    /// allocation as its pruning incumbent, and an invocation that changed
+    /// nothing skips the global step. Results are bit-identical to the cold
+    /// path; only the *measured work* differs, which is why the paper's
+    /// constructors leave it off — the overhead experiments (E5/E9) report
+    /// the cold per-invocation cost. Like `partition_algo`, deliberately
+    /// absent from the configuration fingerprint.
     pub incremental: bool,
 }
 
@@ -125,17 +126,19 @@ pub struct RmaWorkCounters {
     /// Candidate strategy vectors examined by the equilibrium-selection
     /// enumeration.
     pub equilibria_examined: u64,
-    /// Invocations whose per-core observation digest matched the previous
-    /// interval, so the retained curve was reused with no model evaluation
-    /// at all (only ticks in incremental mode; see
+    /// Invocations whose observation equalled the invoking core's previous
+    /// one bit for bit, so the retained curve was reused with no model
+    /// evaluation at all (only ticks in incremental mode; see
     /// [`CoordinatedRma::with_incremental`]).
     pub delta_invocations: u64,
     /// Curves (re)built by the incremental path because the invoking core's
-    /// observation digest changed — or no curve was retained — since the
-    /// previous interval (only ticks in incremental mode).
+    /// observation changed — or no curve was retained — since the previous
+    /// interval (only ticks in incremental mode).
     pub curves_patched: u64,
     /// Arena rows the warm-started global step reused verbatim instead of
-    /// recomputing (only ticks in incremental mode).
+    /// recomputing (only ticks in incremental mode). A skipped global step
+    /// counts the whole retained arena, as a warm step with nothing dirty
+    /// would.
     pub warm_rows_reused: u64,
     /// Full 4-wide chunk passes executed by the chunked min-plus kernel
     /// across all cooperative global steps.
@@ -214,7 +217,10 @@ pub struct CoordinatedRma {
     config: RmaConfig,
     optimizer: LocalOptimizer,
     overhead: OverheadModel,
-    curves: Vec<Option<EnergyCurve>>,
+    /// Latest energy curve of every core, borrowed as one slice by the
+    /// global step. An empty curve (`max_ways() == 0`) marks a core without
+    /// a feasible curve since the last reset.
+    curves: Vec<EnergyCurve>,
     name: String,
     /// Optional shared memoization cache for energy curves; see
     /// [`CoordinatedRma::with_curve_cache`].
@@ -224,10 +230,11 @@ pub struct CoordinatedRma {
     config_key: CurveKey,
     /// Measured work counters (see [`RmaWorkCounters`]).
     counters: RmaWorkCounters,
-    /// Per-core observation digests of the previous interval (delta path).
-    digests: ObservationDigests,
-    /// Cores whose curve changed since the global step last consumed the
-    /// mask (delta path); sized like `curves`.
+    /// Per-core observation of the previous interval (delta path), compared
+    /// bit for bit with the next one by [`memo::same_observation`].
+    observations: Vec<Option<CoreObservation>>,
+    /// Cores whose curve changed since the last global step (delta path);
+    /// sized like `curves`. Every global step consumes the mask.
     pending_dirty: Vec<bool>,
     /// Warm-row arena retained between cooperative global steps (delta
     /// path).
@@ -235,6 +242,10 @@ pub struct CoordinatedRma {
     /// Way allocation of the previous cooperative global step, evaluated on
     /// the current curves as the pruning incumbent (delta path).
     last_ways: Option<Vec<usize>>,
+    /// The setting the previous invocation returned, when that setting was
+    /// a global-step result (delta path); see the skip in
+    /// [`ResourceManager::on_interval`].
+    last_setting: Option<SystemSetting>,
 }
 
 impl CoordinatedRma {
@@ -259,7 +270,7 @@ impl CoordinatedRma {
         ));
         CoordinatedRma {
             platform: platform.clone(),
-            curves: vec![None; platform.num_cores],
+            curves: vec![EnergyCurve::default(); platform.num_cores],
             optimizer,
             overhead: OverheadModel::default(),
             config,
@@ -267,10 +278,11 @@ impl CoordinatedRma {
             curve_cache: None,
             config_key,
             counters: RmaWorkCounters::default(),
-            digests: ObservationDigests::new(),
+            observations: vec![None; platform.num_cores],
             pending_dirty: vec![false; platform.num_cores],
             incremental_opt: IncrementalOptimizer::new(),
             last_ways: None,
+            last_setting: None,
         }
     }
 
@@ -414,25 +426,28 @@ impl CoordinatedRma {
     }
 
     /// Enables the incremental delta path (see [`RmaConfig::incremental`]):
-    /// per-core observation digests short-circuit curve rebuilds for
-    /// unchanged cores, and the cooperative global step warm-starts from the
+    /// a core whose observation equals its previous one bit for bit keeps
+    /// its retained curve, the cooperative global step warm-starts from the
     /// retained reduction arena with the previous allocation as its pruning
-    /// incumbent. Every setting the manager emits is bit-identical to the
-    /// cold path — only the measured work counters differ
-    /// (`delta_invocations`, `curves_patched`, `warm_rows_reused` tick, and
-    /// `curve_builds` / `reduction_ops` shrink).
+    /// incumbent, and an invocation that changed nothing returns the
+    /// current setting without a global step. Every setting the manager
+    /// emits is bit-identical to the cold path — only the measured work
+    /// counters differ (`delta_invocations`, `curves_patched`,
+    /// `warm_rows_reused` tick; `curve_builds`, `reduction_ops` and the game
+    /// counters shrink).
     pub fn with_incremental(mut self) -> Self {
         self.config.incremental = true;
         self
     }
 
-    /// Drops all delta-path state: the next invocation diffs against
+    /// Drops all delta-path state: the next invocation compares against
     /// nothing and the next global step rebuilds the arena cold.
     fn clear_delta_state(&mut self, num_cores: usize) {
-        self.digests.reset();
+        self.observations = vec![None; num_cores];
         self.pending_dirty = vec![false; num_cores];
         self.incremental_opt.clear();
         self.last_ways = None;
+        self.last_setting = None;
     }
 
     /// The QoS specification of `core`.
@@ -469,11 +484,34 @@ impl ResourceManager for CoordinatedRma {
     }
 
     fn reset(&mut self, num_cores: usize) {
-        self.curves = vec![None; num_cores];
+        self.curves = vec![EnergyCurve::default(); num_cores];
         self.counters = RmaWorkCounters::default();
         self.clear_delta_state(num_cores);
     }
 
+    /// # Skipping the global step
+    ///
+    /// On the delta path, an invocation where no core's curve changed since
+    /// the last global step, and whose `current` equals the setting that
+    /// step returned, returns `current` without running the step. This is
+    /// exact for every [`PartitionAlgo`]: the step is a deterministic
+    /// function of the curves, so it would reproduce the same allocation
+    /// `A`, and the hysteresis maps its own output to itself.
+    ///
+    /// - If the last step moved to `A`, then `current` holds `A`'s ways, so
+    ///   the re-run compares `A`'s energy with itself (the same values
+    ///   summed in the same order). Whichever branch that comparison takes,
+    ///   it emits `A`'s curve points: `current` again.
+    /// - If the last step kept the previous ways `C` (re-tuning VF and core
+    ///   size on them), then `current` holds `C`'s ways and `C`'s points, so
+    ///   the re-run makes the same comparison, keeps `C` again and emits the
+    ///   same points.
+    ///
+    /// The returned setting passed validation when the step returned it.
+    /// Every counter ticks as the re-run would: a warm cooperative step with
+    /// nothing dirty recomputes no row and reuses the whole retained arena,
+    /// which the skip adds to `warm_rows_reused`; game steps are skipped
+    /// with their rounds.
     fn on_interval(
         &mut self,
         core: CoreId,
@@ -481,35 +519,36 @@ impl ResourceManager for CoordinatedRma {
         current: &SystemSetting,
     ) -> SystemSetting {
         if self.curves.len() != current.num_cores() {
-            self.curves = vec![None; current.num_cores()];
+            self.curves = vec![EnergyCurve::default(); current.num_cores()];
             self.clear_delta_state(current.num_cores());
         }
+        // Only a return that is a global-step result remembers its setting.
+        let last_setting = self.last_setting.take();
+        let i = core.index();
 
         // Step 1-3: models + local optimization produce this core's curve
         // (answered from the shared cache when the observation recurs).
         // Cache misses run the staged builder, whose exact evaluation count
         // feeds the measured overhead accounting.
         self.counters.invocations += 1;
-        let qos = self.qos_of(core);
-        // The delta path trusts the same 128-bit digest the curve cache
-        // keys on: an unchanged digest means a bit-identical curve, so the
-        // retained one is reused without any model evaluation and the core
-        // stays clean for the warm-row global step below.
-        let key = (self.config.incremental || self.curve_cache.is_some())
-            .then(|| memo::curve_key(self.config_key, qos, observation));
+        // The delta path compares the observation with the core's previous
+        // one bit for bit: an unchanged observation means a bit-identical
+        // curve, so the retained curve stays in place with no model
+        // evaluation and the core stays clean for the global step below.
         let reuse = self.config.incremental
-            && self
-                .digests
-                .note(core.index(), key.expect("keyed when incremental"))
-            && self.curves[core.index()].is_some();
-        let curve = if reuse {
+            && self.curves[i].max_ways() > 0
+            && self.observations[i]
+                .as_ref()
+                .is_some_and(|previous| memo::same_observation(previous, observation));
+        if reuse {
             self.counters.delta_invocations += 1;
-            self.curves[core.index()].clone().expect("checked above")
         } else {
             if self.config.incremental {
                 self.counters.curves_patched += 1;
-                self.pending_dirty[core.index()] = true;
+                self.pending_dirty[i] = true;
+                self.observations[i] = Some(observation.clone());
             }
+            let qos = self.qos_of(core);
             let optimizer = &self.optimizer;
             let counters = &mut self.counters;
             let mut build_counted = || {
@@ -518,28 +557,31 @@ impl ResourceManager for CoordinatedRma {
                 counters.local_evaluations += build.evaluations as u64;
                 build.curve
             };
-            match &self.curve_cache {
-                Some(cache) => cache.get_or_compute(key.expect("keyed when cached"), build_counted),
+            let curve = match &self.curve_cache {
+                Some(cache) => cache.get_or_compute(
+                    memo::curve_key(self.config_key, qos, observation),
+                    build_counted,
+                ),
                 None => build_counted(),
+            };
+            if !curve.any_feasible() {
+                // Defensive: even the baseline allocation appears infeasible
+                // (can only happen through extreme modeling error); keep the
+                // current setting for this interval and record that its QoS
+                // cannot be certified.
+                self.counters.qos_at_risk_intervals += 1;
+                self.curves[i] = EnergyCurve::default();
+                return current.clone();
             }
-        };
-        if !curve.any_feasible() {
-            // Defensive: even the baseline allocation appears infeasible
-            // (can only happen through extreme modeling error); keep the
-            // current setting for this interval and record that its QoS
-            // cannot be certified.
-            self.counters.qos_at_risk_intervals += 1;
-            self.curves[core.index()] = None;
-            return current.clone();
+            self.curves[i] = curve;
         }
-        self.curves[core.index()] = Some(curve);
 
         if !self.config.control_partitioning {
             // No coordination over the cache: apply this core's best setting
             // at its current allocation and leave the others untouched.
             let ways = current.core(core).ways;
             let mut next = current.clone();
-            if let Some(point) = self.curves[core.index()].as_ref().unwrap().point(ways) {
+            if let Some(point) = self.curves[i].point(ways) {
                 *next.core_mut(core) = CoreSetting {
                     core_size: point.core_size,
                     freq: point.freq,
@@ -557,7 +599,18 @@ impl ResourceManager for CoordinatedRma {
 
         // The paper's first-invocation rule: until every core has reported
         // one interval of statistics, keep the baseline setting.
-        if self.curves.iter().any(Option::is_none) {
+        if self.curves.iter().any(|curve| curve.max_ways() == 0) {
+            return current.clone();
+        }
+
+        // Delta path: nothing changed since the last global step, whose
+        // result is still applied, so the step would return it again (see
+        // the method docs).
+        if last_setting.as_ref() == Some(current) && !self.pending_dirty.contains(&true) {
+            if self.config.partition_algo == PartitionAlgo::Cooperative {
+                self.counters.warm_rows_reused += self.incremental_opt.retained_rows();
+            }
+            self.last_setting = last_setting;
             return current.clone();
         }
 
@@ -566,11 +619,7 @@ impl ResourceManager for CoordinatedRma {
         // solver whose slack-allowed outcome is topped up to an exact-sum
         // allocation. Both paths feed the same hysteresis and validation
         // below.
-        let curves: Vec<EnergyCurve> = self
-            .curves
-            .iter()
-            .map(|c| c.clone().expect("checked above"))
-            .collect();
+        let curves = &self.curves;
         let total_ways = self.platform.llc.associativity;
         let allocation = match self.config.partition_algo {
             PartitionAlgo::Cooperative if self.config.incremental => {
@@ -581,11 +630,11 @@ impl ResourceManager for CoordinatedRma {
                 // f64 upper bound — prunes the root row. The allocation is
                 // bit-identical to the cold path.
                 let incumbent = match &self.last_ways {
-                    Some(ways) => incumbent_energy(&curves, ways),
+                    Some(ways) => incumbent_energy(curves, ways),
                     None => f64::INFINITY,
                 };
                 let (allocation, prune_stats, warm) = self.incremental_opt.optimize(
-                    &curves,
+                    curves,
                     &self.pending_dirty,
                     total_ways,
                     incumbent,
@@ -594,14 +643,13 @@ impl ResourceManager for CoordinatedRma {
                 self.counters.reduction_pruned += prune_stats.pruned;
                 self.counters.chunked_conv_lanes += prune_stats.lanes;
                 self.counters.warm_rows_reused += warm.rows_reused;
-                self.pending_dirty.iter_mut().for_each(|d| *d = false);
                 if let Some(allocation) = &allocation {
                     self.last_ways = Some(allocation.iter().map(|&(ways, _)| ways).collect());
                 }
                 allocation
             }
             PartitionAlgo::Cooperative => {
-                let (allocation, prune_stats) = optimize_partition_with_stats(&curves, total_ways);
+                let (allocation, prune_stats) = optimize_partition_with_stats(curves, total_ways);
                 self.counters.reduction_ops += prune_stats.ops;
                 self.counters.reduction_pruned += prune_stats.pruned;
                 self.counters.chunked_conv_lanes += prune_stats.lanes;
@@ -609,19 +657,20 @@ impl ResourceManager for CoordinatedRma {
             }
             PartitionAlgo::NashBestResponse => {
                 let (outcome, stats) =
-                    game::best_response(&curves, total_ways, &GameConfig::default());
+                    game::best_response(curves, total_ways, &GameConfig::default());
                 self.counters.game_rounds += stats.rounds;
                 self.counters.best_response_evaluations += stats.evaluations;
                 outcome.map(|o| o.exact_sum_allocation(total_ways))
             }
             PartitionAlgo::NashMinEnergyEquilibrium => {
-                let (outcome, stats) = game::min_energy_equilibrium(&curves, total_ways);
+                let (outcome, stats) = game::min_energy_equilibrium(curves, total_ways);
                 self.counters.game_rounds += stats.rounds;
                 self.counters.best_response_evaluations += stats.evaluations;
                 self.counters.equilibria_examined += stats.equilibria_examined;
                 outcome.map(|o| o.exact_sum_allocation(total_ways))
             }
         };
+        self.pending_dirty.fill(false);
         let Some(allocation) = allocation else {
             return current.clone();
         };
@@ -670,14 +719,18 @@ impl ResourceManager for CoordinatedRma {
         if next.validate(&self.platform).is_err() {
             return current.clone();
         }
+        if self.config.incremental {
+            self.last_setting = Some(next.clone());
+        }
         next
     }
 
     fn invocation_overhead_instructions(&self, num_cores: usize) -> u64 {
-        let mut platform = self.platform.clone();
-        platform.num_cores = num_cores;
-        self.overhead
-            .invocation_instructions(&platform, self.optimizer.evaluations_per_invocation())
+        self.overhead.invocation_instructions(
+            num_cores,
+            self.platform.llc.associativity,
+            self.optimizer.evaluations_per_invocation(),
+        )
     }
 
     fn qos_at_risk_intervals(&self) -> u64 {
@@ -1058,7 +1111,7 @@ mod tests {
         delta.reset(4);
 
         // Three rounds over all cores: a cold round, a fully-recurring
-        // round (every digest matches), and a round where only core 2's
+        // round (every observation matches), and a round where only core 2's
         // observation changed.
         let rounds = [
             vec![
@@ -1082,6 +1135,7 @@ mod tests {
         ];
         let mut cold_setting = SystemSetting::baseline(&p);
         let mut delta_setting = SystemSetting::baseline(&p);
+        let mut after_round = Vec::new();
         for (round, observations) in rounds.iter().enumerate() {
             for (i, obs) in observations.iter().enumerate() {
                 cold_setting = cold.on_interval(CoreId(i), obs, &cold_setting);
@@ -1091,7 +1145,16 @@ mod tests {
                     "delta path diverged at round {round}, core {i}"
                 );
             }
+            after_round.push(delta.work_counters());
         }
+        // The recurring round skips all four global steps: no convolution
+        // work, and each skip counts the whole retained arena (2 * 4 - 1
+        // rows) as a warm step with nothing dirty would.
+        assert_eq!(after_round[1].reduction_ops, after_round[0].reduction_ops);
+        assert_eq!(
+            after_round[1].warm_rows_reused - after_round[0].warm_rows_reused,
+            4 * 7
+        );
 
         let cold_counters = cold.work_counters();
         let delta_counters = delta.work_counters();
@@ -1122,6 +1185,34 @@ mod tests {
         let counters = delta.work_counters();
         assert_eq!(counters.delta_invocations, 0);
         assert_eq!(counters.curves_patched, 1);
+    }
+
+    #[test]
+    fn delta_path_reuses_a_curve_only_for_a_recurring_observation() {
+        let p = platform();
+        let mut rma = CoordinatedRma::paper1(&p, vec![QosSpec::STRICT; 4]).with_incremental();
+        rma.reset(4);
+        let baseline = SystemSetting::baseline(&p);
+        // (curves rebuilt, curves reused) so far.
+        let work = |rma: &CoordinatedRma| {
+            let counters = rma.work_counters();
+            (counters.curves_patched, counters.delta_invocations)
+        };
+        // First interval: nothing retained, every core rebuilds.
+        rma.on_interval(CoreId(0), &cache_sensitive_observation(0), &baseline);
+        rma.on_interval(CoreId(1), &compute_observation(1), &baseline);
+        assert_eq!(work(&rma), (2, 0));
+        // Second interval: core 0 recurs, core 1 changed.
+        rma.on_interval(CoreId(0), &cache_sensitive_observation(0), &baseline);
+        rma.on_interval(CoreId(1), &streaming_observation(1), &baseline);
+        assert_eq!(work(&rma), (3, 1));
+        // A core seen for the first time rebuilds.
+        rma.on_interval(CoreId(3), &compute_observation(3), &baseline);
+        assert_eq!(work(&rma), (4, 1));
+        // reset() forgets every observation: the next interval is cold.
+        rma.reset(4);
+        rma.on_interval(CoreId(0), &cache_sensitive_observation(0), &baseline);
+        assert_eq!(work(&rma), (1, 0));
     }
 
     #[test]

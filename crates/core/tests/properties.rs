@@ -6,6 +6,7 @@ use qosrm_core::{
     optimize_partition, optimize_partition_scalar, optimize_partition_unpruned,
     optimize_partition_with_stats, total_energy, CoordinatedRma, CurvePoint, EnergyCurve,
     GameConfig, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig, ModelKind,
+    PartitionAlgo, RmaConfig,
 };
 use qosrm_types::{
     AppId, CoreId, CoreObservation, CoreScalingProfile, CoreSizeIdx, FreqLevel, IntervalStats,
@@ -302,54 +303,69 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The manager's incremental delta path emits bit-identical settings to
-    /// the cold manager across random sequences of per-core observation
-    /// deltas: every round re-invokes all cores, but only the cores whose
-    /// observation actually changed may rebuild their curve.
+    /// the cold manager under every partition algorithm, across random
+    /// sequences of per-core observation deltas: every round re-invokes all
+    /// cores, but only the cores whose observation actually changed may
+    /// rebuild their curve. At random steps the caller drops the returned
+    /// setting and keeps applying the previous one, so the delta path's skip
+    /// of an unchanged global step sees `current` both equal to and
+    /// different from the setting its last step returned.
     #[test]
     fn delta_path_manager_matches_cold_rebuild(
+        algo in 0usize..3,
         bases in prop::collection::vec(10_000u64..2_000_000, 4),
         decays in prop::collection::vec(0u64..20, 4),
         deltas in prop::collection::vec((0usize..4, 10_000u64..2_000_000), 1..5),
+        drops in prop::collection::vec(0usize..3, 20),
     ) {
         let platform = PlatformConfig::paper2(4);
-        let mut cold = CoordinatedRma::paper1(&platform, vec![QosSpec::STRICT; 4]);
-        let mut delta = CoordinatedRma::paper1(&platform, vec![QosSpec::STRICT; 4])
-            .with_incremental();
+        let algo = [
+            PartitionAlgo::Cooperative,
+            PartitionAlgo::NashBestResponse,
+            PartitionAlgo::NashMinEnergyEquilibrium,
+        ][algo];
+        let manager = || {
+            let mut config = RmaConfig::paper1(vec![QosSpec::STRICT; 4]);
+            config.partition_algo = algo;
+            CoordinatedRma::new(&platform, config)
+        };
+        let mut cold = manager();
+        let mut delta = manager().with_incremental();
         cold.reset(4);
         delta.reset(4);
         let mut observations: Vec<CoreObservation> = (0..4)
             .map(|i| observation_on(&platform, bases[i], decays[i], 5 + i as u64, true))
             .collect();
-        let mut cold_setting = SystemSetting::baseline(&platform);
-        let mut delta_setting = SystemSetting::baseline(&platform);
-        let round_all = |cold: &mut CoordinatedRma,
-                             delta: &mut CoordinatedRma,
-                             observations: &[CoreObservation],
-                             cold_setting: &mut SystemSetting,
-                             delta_setting: &mut SystemSetting|
-         -> Result<(), String> {
+        let mut setting = SystemSetting::baseline(&platform);
+        let mut step = 0;
+        let mut round_all = |observations: &[CoreObservation]| -> Result<(), String> {
             for (i, obs) in observations.iter().enumerate() {
-                *cold_setting = cold.on_interval(CoreId(i), obs, cold_setting);
-                *delta_setting = delta.on_interval(CoreId(i), obs, delta_setting);
-                prop_assert!(delta_setting == cold_setting,
-                    "delta path diverged at core {}", i);
+                let from_cold = cold.on_interval(CoreId(i), obs, &setting);
+                let from_delta = delta.on_interval(CoreId(i), obs, &setting);
+                prop_assert!(from_delta == from_cold,
+                    "delta path diverged at core {} under {:?}", i, algo);
+                // drops[step] == 0: the caller drops the returned setting.
+                if drops[step % drops.len()] != 0 {
+                    setting = from_cold;
+                }
+                step += 1;
             }
             Ok(())
         };
-        round_all(&mut cold, &mut delta, &observations,
-            &mut cold_setting, &mut delta_setting)?;
+        round_all(&observations)?;
         for (core, new_base) in deltas {
             observations[core] =
                 observation_on(&platform, new_base, decays[core], 5 + core as u64, true);
-            round_all(&mut cold, &mut delta, &observations,
-                &mut cold_setting, &mut delta_setting)?;
+            round_all(&observations)?;
         }
-        // The delta path never builds more curves than the cold manager and
+        // The delta path never does more work than the cold manager and
         // reuses at least the unchanged cores of the patch rounds.
         let cold_counters = cold.work_counters();
         let delta_counters = delta.work_counters();
         prop_assert_eq!(cold_counters.invocations, delta_counters.invocations);
         prop_assert!(delta_counters.curve_builds <= cold_counters.curve_builds);
+        prop_assert!(delta_counters.reduction_ops <= cold_counters.reduction_ops);
+        prop_assert!(delta_counters.game_rounds <= cold_counters.game_rounds);
         prop_assert!(delta_counters.delta_invocations > 0);
     }
 }

@@ -399,13 +399,9 @@ pub fn evaluate_grant<C: Coordination + Sync>(
 ) -> Result<(String, u64, u64), QosrmError> {
     let spec: ScenarioSpec = serde_json::from_str(&grant.spec_json)
         .map_err(|e| QosrmError::Io(format!("grant carries an unparsable spec: {e}")))?;
-    // Workers are long-running serving processes: the incremental delta
-    // path cuts their per-invocation cost and is bit-identical in results,
-    // so merged shards still match the in-memory sweep byte for byte.
     let options = SweepOptions {
         parallel: !grant.serial,
-        memoize: true,
-        incremental: true,
+        ..SweepOptions::default()
     };
     let stop = AtomicBool::new(false);
     let heartbeat = HeartbeatRequest {

@@ -44,13 +44,14 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
         let mut total_apps = 0usize;
 
         for mix in &mixes {
-            let mut analytic = CoordinatedRma::paper1(&platform, qos.clone());
+            let mut analytic = CoordinatedRma::paper1(&platform, qos.clone()).with_incremental();
             let analytic_cmp =
                 ctx.comparison(&db, mix, &mut analytic, &qos, analytic_options.clone());
 
             let mut perfect =
                 CoordinatedRma::with_model(&platform, qos.clone(), ModelKind::Perfect, false)
-                    .with_name("CombinedRMA-Perfect");
+                    .with_name("CombinedRMA-Perfect")
+                    .with_incremental();
             let perfect_cmp = ctx.comparison(&db, mix, &mut perfect, &qos, perfect_options.clone());
 
             analytic_savings.push(analytic_cmp.energy_savings);

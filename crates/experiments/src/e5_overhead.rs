@@ -73,8 +73,11 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
     for &num_cores in &[2usize, 4, 8] {
         let platform = PlatformConfig::paper1(num_cores);
         let manager = CoordinatedRma::paper1(&platform, vec![QosSpec::STRICT; num_cores]);
-        let bound =
-            overhead.invocation_instructions(&platform, manager.evaluations_per_invocation());
+        let bound = overhead.invocation_instructions(
+            num_cores,
+            platform.llc.associativity,
+            manager.evaluations_per_invocation(),
+        );
         let (evals, cells) = per_invocation(measured_counters(ctx, &platform, manager));
         let instructions = overhead.invocation_instructions_measured(evals, cells);
         if num_cores == 4 {

@@ -31,8 +31,11 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
     for &(num_cores, paper_value) in PAPER_REPORTED {
         let platform = PlatformConfig::paper2(num_cores);
         let manager = CoordinatedRma::paper2(&platform, vec![QosSpec::STRICT; num_cores]);
-        let bound =
-            overhead.invocation_instructions(&platform, manager.evaluations_per_invocation());
+        let bound = overhead.invocation_instructions(
+            num_cores,
+            platform.llc.associativity,
+            manager.evaluations_per_invocation(),
+        );
         let (evals, cells) = per_invocation(measured_counters(ctx, &platform, manager));
         let instructions = overhead.invocation_instructions_measured(evals, cells);
         let fraction = overhead.fraction_of_interval_measured(&platform, evals, cells);

@@ -430,12 +430,14 @@ pub struct SweepOptions {
     pub memoize: bool,
     /// Run every manager on its incremental delta path
     /// ([`CoordinatedRma::with_incremental`]): recurring per-core
-    /// observations skip curve construction entirely and the cooperative
-    /// global step warm-starts from the retained reduction arena. Settings
-    /// — and therefore sweep results — are bit-identical either way
-    /// (`tests/sweep_equivalence.rs` locks that in); the switch defaults to
-    /// off so the overhead experiments keep reporting cold per-invocation
-    /// work, and the resident serving daemon turns it on.
+    /// observations skip curve construction entirely, the cooperative
+    /// global step warm-starts from the retained reduction arena, and an
+    /// invocation that changed nothing skips the global step. Settings — and
+    /// therefore sweep results — are bit-identical either way
+    /// (`tests/sweep_equivalence.rs` locks that in), so the default turns
+    /// it on. The switch stays because it is what makes
+    /// [`SweepOptions::serial`] the cold reference path, and because the
+    /// end-to-end benchmark (`perfbench/`) names it.
     pub incremental: bool,
 }
 
@@ -444,14 +446,15 @@ impl Default for SweepOptions {
         SweepOptions {
             parallel: true,
             memoize: true,
-            incremental: false,
+            incremental: true,
         }
     }
 }
 
 impl SweepOptions {
-    /// Fully serial, uncached execution (the reference path benchmarks
-    /// compare against).
+    /// Fully serial, uncached, cold execution: every manager rebuilds every
+    /// curve and runs every global step (the reference path benchmarks and
+    /// equivalence tests compare against).
     pub fn serial() -> Self {
         SweepOptions {
             parallel: false,

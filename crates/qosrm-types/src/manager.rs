@@ -86,6 +86,12 @@ impl ConfigTable {
     pub fn num_ways(&self) -> usize {
         self.num_ways
     }
+
+    /// Every configuration's metrics, in `(size, freq, ways)` row-major
+    /// order.
+    pub fn as_slice(&self) -> &[ConfigMetrics] {
+        &self.metrics
+    }
 }
 
 /// Everything a core exposes to the resource manager when it finishes an

@@ -177,6 +177,12 @@ impl MlpProfile {
         self.leading.first().map(|v| v.len()).unwrap_or(0)
     }
 
+    /// The underlying rows: `as_rows()[s][w - 1]` = leading misses with
+    /// core size `s` and `w` ways.
+    pub fn as_rows(&self) -> &[Vec<u64>] {
+        &self.leading
+    }
+
     /// Leading misses with core size `size` and `ways` ways.
     pub fn leading_at(&self, size: CoreSizeIdx, ways: usize) -> u64 {
         self.leading[size.index()][ways - 1]

@@ -280,25 +280,13 @@ impl Shared {
         contexts
             .entry(quick)
             .or_insert_with(|| {
-                // The daemon always runs managers on the incremental delta
-                // path: recurring per-core observations skip curve builds
-                // and the global step warm-starts, which is exactly the
-                // per-invocation cost a resident serving process cares
-                // about. Results are bit-identical to the cold path.
-                let sweep = if self.config.serial {
-                    // Serial but memoized: `SweepOptions::serial()` would
-                    // also disable memoization, which the serving bench
-                    // relies on for deterministic hit/miss counters.
-                    SweepOptions {
-                        parallel: false,
-                        memoize: true,
-                        incremental: true,
-                    }
-                } else {
-                    SweepOptions {
-                        incremental: true,
-                        ..SweepOptions::default()
-                    }
+                // Serial mode stays memoized and on the delta path:
+                // `SweepOptions::serial()` would also disable memoization,
+                // which the serving bench relies on for deterministic
+                // hit/miss counters.
+                let sweep = SweepOptions {
+                    parallel: !self.config.serial,
+                    ..SweepOptions::default()
                 };
                 Arc::new(
                     ExperimentContext::new(quick)

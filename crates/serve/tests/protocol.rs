@@ -560,9 +560,9 @@ fn load_generator_sustains_concurrent_clients_with_byte_identical_results() {
     assert_eq!(stats.runs.complete, 3);
 
     // All evaluation ran in-process, so /stats surfaces the daemon's
-    // measured RMA work — and since daemon sweeps enable the incremental
+    // measured RMA work — and since daemon sweeps take the incremental
     // delta path, the delta counters tick whenever a core's observation
-    // digest recurs across intervals.
+    // recurs across intervals.
     let rma = stats
         .rma
         .iter()

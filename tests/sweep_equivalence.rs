@@ -72,7 +72,8 @@ fn serial_parallel_and_memoized_sweeps_are_bit_identical() {
 
     // The incremental run actually took the delta path, and skipped work.
     // Both contexts share a curve cache, so a key's *first* occurrence is
-    // built either way (a digest can only recur after its first sighting):
+    // built either way (an observation can only recur after its first
+    // sighting):
     // builds stay equal, and the savings show up as skipped cache lookups
     // and skipped convolution work instead.
     let cold = memoized_ctx.rma_telemetry().snapshot();
@@ -87,7 +88,7 @@ fn serial_parallel_and_memoized_sweeps_are_bit_identical() {
         incremental_ctx.curve_cache().hits() + incremental_ctx.curve_cache().misses();
     assert!(
         delta_lookups < cold_lookups,
-        "digest diffing must short-circuit cache lookups ({delta_lookups} vs {cold_lookups})"
+        "the delta path must short-circuit cache lookups ({delta_lookups} vs {cold_lookups})"
     );
     assert!(
         delta.reduction_ops < cold.reduction_ops,
