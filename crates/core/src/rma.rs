@@ -1,6 +1,6 @@
 //! The coordinated resource manager.
 
-use crate::curve::EnergyCurve;
+use crate::curve::{CurvePoint, EnergyCurve};
 use crate::game::{self, GameConfig, PartitionAlgo};
 use crate::global::{incumbent_energy, optimize_partition_with_stats, IncrementalOptimizer};
 use crate::local::{LocalOptimizer, LocalOptimizerConfig};
@@ -492,26 +492,31 @@ impl ResourceManager for CoordinatedRma {
     /// # Skipping the global step
     ///
     /// On the delta path, an invocation where no core's curve changed since
-    /// the last global step, and whose `current` equals the setting that
-    /// step returned, returns `current` without running the step. This is
-    /// exact for every [`PartitionAlgo`]: the step is a deterministic
-    /// function of the curves, so it would reproduce the same allocation
-    /// `A`, and the hysteresis maps its own output to itself.
+    /// the last global step, and whose `current` equals the setting `S`
+    /// that step returned, returns `current` without running the step.
+    /// This is exact for every [`PartitionAlgo`]. The step is a
+    /// deterministic function of the curves, so a re-run would compute the
+    /// same allocation `A` and then apply the hysteresis to `A` and `S`.
+    /// The manager remembers `S` only when that yields `S` again, which it
+    /// checks when the step returns `S`:
     ///
-    /// - If the last step moved to `A`, then `current` holds `A`'s ways, so
-    ///   the re-run compares `A`'s energy with itself (the same values
-    ///   summed in the same order). Whichever branch that comparison takes,
-    ///   it emits `A`'s curve points: `current` again.
-    /// - If the last step kept the previous ways `C` (re-tuning VF and core
-    ///   size on them), then `current` holds `C`'s ways and `C`'s points, so
-    ///   the re-run makes the same comparison, keeps `C` again and emits the
-    ///   same points.
+    /// - A cooperative allocation pairs each way count with the curve's own
+    ///   point there, so `S` is always remembered. If the step moved to
+    ///   `A`, the re-run compares `A`'s energy with itself (the same values
+    ///   summed in the same order), and either branch emits `A`'s points.
+    ///   If it kept the previous ways `C`, re-tuning VF and core size on
+    ///   them, the re-run makes the same comparison on `C`'s ways and emits
+    ///   the same points.
+    /// - A game outcome tops its strategies up to an exact-sum partition
+    ///   but keeps each strategy's own point. After a move, the re-run may
+    ///   keep the topped-up ways and re-tune VF and core size on them; such
+    ///   an `S` is not remembered, and the next invocation runs the step.
     ///
-    /// The returned setting passed validation when the step returned it.
-    /// Every counter ticks as the re-run would: a warm cooperative step with
-    /// nothing dirty recomputes no row and reuses the whole retained arena,
-    /// which the skip adds to `warm_rows_reused`; game steps are skipped
-    /// with their rounds.
+    /// `S` passed validation when the step returned it. Every counter
+    /// ticks as the re-run would: a warm cooperative step with nothing
+    /// dirty recomputes no row and reuses the whole retained arena, which
+    /// the skip adds to `warm_rows_reused`; game steps are skipped with
+    /// their rounds.
     fn on_interval(
         &mut self,
         core: CoreId,
@@ -675,51 +680,16 @@ impl ResourceManager for CoordinatedRma {
             return current.clone();
         };
 
-        // Repartitioning hysteresis: only move ways when the predicted gain
-        // over re-tuning VF/core-size on the *current* partition exceeds the
-        // switching threshold (repartitioning costs cache refills).
-        let new_energy: f64 = allocation.iter().map(|(_, p)| p.energy_joules).sum();
-        let current_partition_energy: Option<f64> = (0..curves.len())
-            .map(|i| {
-                curves[i]
-                    .point(current.core(CoreId(i)).ways)
-                    .map(|p| p.energy_joules)
-            })
-            .sum();
-        let keep_partition = match current_partition_energy {
-            Some(current_energy) => {
-                new_energy > current_energy * (1.0 - self.config.switch_threshold)
-            }
-            None => false,
-        };
-
-        let settings = if keep_partition {
-            (0..curves.len())
-                .map(|i| {
-                    let ways = current.core(CoreId(i)).ways;
-                    let point = curves[i].point(ways).expect("checked feasible above");
-                    CoreSetting {
-                        core_size: point.core_size,
-                        freq: point.freq,
-                        ways,
-                    }
-                })
-                .collect()
-        } else {
-            allocation
-                .into_iter()
-                .map(|(ways, point)| CoreSetting {
-                    core_size: point.core_size,
-                    freq: point.freq,
-                    ways,
-                })
-                .collect()
-        };
-        let next = SystemSetting::new(settings);
+        let threshold = self.config.switch_threshold;
+        let next = SystemSetting::new(hysteresis(curves, &allocation, current, threshold));
         if next.validate(&self.platform).is_err() {
             return current.clone();
         }
-        if self.config.incremental {
+        // The skip may return `next` only if this step, re-run on `next`,
+        // would return it again (see the method docs).
+        if self.config.incremental
+            && hysteresis(curves, &allocation, &next, threshold) == next.cores()
+        {
             self.last_setting = Some(next.clone());
         }
         next
@@ -738,11 +708,57 @@ impl ResourceManager for CoordinatedRma {
     }
 }
 
+/// Repartitioning hysteresis: moves to `allocation` only when its predicted
+/// gain over re-tuning VF/core-size on the *current* partition exceeds
+/// `switch_threshold` (repartitioning costs cache refills). Returns the
+/// per-core settings to apply.
+fn hysteresis(
+    curves: &[EnergyCurve],
+    allocation: &[(usize, CurvePoint)],
+    current: &SystemSetting,
+    switch_threshold: f64,
+) -> Vec<CoreSetting> {
+    let new_energy: f64 = allocation.iter().map(|(_, p)| p.energy_joules).sum();
+    let current_partition_energy: Option<f64> = (0..curves.len())
+        .map(|i| {
+            curves[i]
+                .point(current.core(CoreId(i)).ways)
+                .map(|p| p.energy_joules)
+        })
+        .sum();
+    let keep_partition = match current_partition_energy {
+        Some(current_energy) => new_energy > current_energy * (1.0 - switch_threshold),
+        None => false,
+    };
+    if keep_partition {
+        (0..curves.len())
+            .map(|i| {
+                let ways = current.core(CoreId(i)).ways;
+                let point = curves[i].point(ways).expect("checked feasible above");
+                CoreSetting {
+                    core_size: point.core_size,
+                    freq: point.freq,
+                    ways,
+                }
+            })
+            .collect()
+    } else {
+        allocation
+            .iter()
+            .map(|&(ways, point)| CoreSetting {
+                core_size: point.core_size,
+                freq: point.freq,
+                ways,
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qosrm_types::{
-        AppId, CoreScalingProfile, CoreSizeIdx, IntervalStats, MissProfile, MlpProfile,
+        AppId, CoreScalingProfile, CoreSizeIdx, FreqLevel, IntervalStats, MissProfile, MlpProfile,
     };
 
     fn platform() -> PlatformConfig {
@@ -1213,6 +1229,47 @@ mod tests {
         rma.reset(4);
         rma.on_interval(CoreId(0), &cache_sensitive_observation(0), &baseline);
         assert_eq!(work(&rma), (1, 0));
+    }
+
+    #[test]
+    fn only_a_hysteresis_fixed_point_can_be_skipped_to() {
+        let point = |energy_joules, freq, ways| CurvePoint {
+            energy_joules,
+            freq: FreqLevel(freq),
+            core_size: CoreSizeIdx(1),
+            time_seconds: 0.1,
+            ways,
+        };
+        // Core 0 is cheaper at 2 ways than at 1; core 1 is infeasible at 1.
+        let curves = vec![
+            EnergyCurve::new(vec![Some(point(2.0, 5, 1)), Some(point(1.5, 4, 2))]),
+            EnergyCurve::new(vec![None, Some(point(1.0, 3, 2))]),
+        ];
+        let setting = |cores: &[(usize, usize)]| {
+            SystemSetting::new(
+                cores
+                    .iter()
+                    .map(|&(freq, ways)| CoreSetting {
+                        core_size: CoreSizeIdx(1),
+                        freq: FreqLevel(freq),
+                        ways,
+                    })
+                    .collect(),
+            )
+        };
+        // From an infeasible partition the manager always moves.
+        let start = setting(&[(6, 3), (6, 1)]);
+        let is_fixed_point = |allocation: &[(usize, CurvePoint)]| {
+            let moved = SystemSetting::new(hysteresis(&curves, allocation, &start, 0.005));
+            hysteresis(&curves, allocation, &moved, 0.005) == moved.cores()
+        };
+        // A cooperative allocation pairs each way count with its own point.
+        let cooperative = [(2, point(1.5, 4, 2)), (2, point(1.0, 3, 2))];
+        assert!(is_fixed_point(&cooperative));
+        // A game outcome topped up from strategies (1, 2) keeps core 0's
+        // 1-way point at 2 ways; re-running the hysteresis re-tunes it.
+        let game = [(2, point(2.0, 5, 1)), (2, point(1.0, 3, 2))];
+        assert!(!is_fixed_point(&game));
     }
 
     #[test]
