@@ -251,10 +251,11 @@ fn digest_observation(digest: &mut Digest, observation: &CoreObservation) {
 
 /// Whether two observations are identical bit for bit: integers by value
 /// and every `f64` by [`f64::to_bits`], so `-0.0` differs from `0.0` and
-/// NaN payloads are told apart. A curve is a pure function of its
-/// observation, so the delta path of [`crate::CoordinatedRma`] keeps a
-/// core's retained curve exactly when the new observation passes this test
-/// against the previous one.
+/// NaN payloads are told apart. A manager's configuration and a core's QoS
+/// are fixed, so the core's curve is a pure function of its observation:
+/// the delta path of [`crate::CoordinatedRma`] keeps a core's retained
+/// curve exactly when the new observation passes this test against the
+/// previous one.
 pub fn same_observation(a: &CoreObservation, b: &CoreObservation) -> bool {
     // Exhaustive destructuring (no `..`), as in `digest_observation`:
     // adding a field to CoreObservation or IntervalStats fails compilation

@@ -243,8 +243,8 @@ pub struct CoordinatedRma {
     /// the current curves as the pruning incumbent (delta path).
     last_ways: Option<Vec<usize>>,
     /// The setting the previous invocation returned, when that setting was
-    /// a global-step result (delta path); see the skip in
-    /// [`ResourceManager::on_interval`].
+    /// a global-step result the step would return again (delta path); see
+    /// the skip in [`ResourceManager::on_interval`].
     last_setting: Option<SystemSetting>,
 }
 

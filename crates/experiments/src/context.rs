@@ -74,7 +74,8 @@ pub struct ExperimentContext {
     pub quick: bool,
     /// Optional directory where simulation databases are cached as JSON.
     pub cache_dir: Option<PathBuf>,
-    /// How `sweep::run` executes grids (parallel + memoized by default).
+    /// How `sweep::run` executes grids (parallel, memoized and on the delta
+    /// path by default).
     pub sweep: SweepOptions,
     /// Energy-curve memoization cache shared by every memoized sweep of the
     /// session (keys include platform/config digests, so scenarios from

@@ -464,8 +464,8 @@ impl SweepOptions {
     }
 }
 
-/// Runs the grid with the context's sweep options (parallel + memoized by
-/// default).
+/// Runs the grid with the context's sweep options (parallel, memoized and
+/// on the delta path by default).
 pub fn run(grid: &ScenarioGrid, ctx: &ExperimentContext) -> SweepResult {
     run_with(grid, ctx, &ctx.sweep)
 }
