@@ -547,36 +547,35 @@ fn run_local_opt(reps: usize, rounds: usize) -> Measured {
     (workload, metrics)
 }
 
-/// The game-theoretic solvers: iterated best response over the global
-/// optimizer's synthetic curve sets, plus the pure-Nash equilibrium
-/// enumeration on the 4-core set (enumeration is combinatorial in the core
-/// count, so the gate pins it at the size E10 actually uses), `br_per_set`
-/// and `eq_per_set` calls per set. Calls, rounds, evaluations and
-/// equilibrium candidates are deterministic: a drift means the solvers'
-/// orbits or the workload changed.
+/// The game-theoretic solvers on the global optimizer's synthetic curve
+/// sets: iterated best response, `br_per_set` calls per set, and equilibrium
+/// selection, `eq_per_set` calls per set. Calls, rounds (certificate rounds
+/// included), evaluations and certified candidates are deterministic: a
+/// drift means the solvers' orbits or the workload changed.
 fn run_best_response(reps: usize, br_per_set: usize, eq_per_set: usize) -> Measured {
-    let br_cases = synthetic_cases(&[(4, 16), (8, 16), (8, 32), (16, 32)]);
-    let eq_cases = synthetic_cases(&[(4, 16)]);
+    let cases = synthetic_cases(&[(4, 16), (8, 16), (8, 32), (16, 32)]);
     let ([wall], (br_calls, eq_calls, stats)) = best_of(true, reps, 1, || {
         timed(|| {
             let (mut br_calls, mut eq_calls) = (0u64, 0u64);
             let mut stats = GameStats::default();
-            for (curves, ways) in &br_cases {
+            let mut add = |s: GameStats| {
+                stats.rounds += s.rounds;
+                stats.evaluations += s.evaluations;
+                stats.equilibria_examined += s.equilibria_examined;
+            };
+            for (curves, ways) in &cases {
                 for _ in 0..br_per_set {
                     let (outcome, s) = best_response(curves, *ways, &GameConfig::default());
                     assert!(outcome.is_some(), "synthetic curve set must be feasible");
                     std::hint::black_box(&outcome);
-                    stats.rounds += s.rounds;
-                    stats.evaluations += s.evaluations;
+                    add(s);
                     br_calls += 1;
                 }
-            }
-            for (curves, ways) in &eq_cases {
                 for _ in 0..eq_per_set {
-                    let (outcome, s) = min_energy_equilibrium(curves, *ways);
+                    let (outcome, s, _) = min_energy_equilibrium(curves, *ways);
                     assert!(outcome.is_some(), "an equilibrium must exist");
                     std::hint::black_box(&outcome);
-                    stats.equilibria_examined += s.equilibria_examined;
+                    add(s);
                     eq_calls += 1;
                 }
             }
@@ -585,11 +584,9 @@ fn run_best_response(reps: usize, br_per_set: usize, eq_per_set: usize) -> Measu
     });
 
     let workload = format!(
-        "synthetic curves: best response on (cores, ways) in \
-         {{(4,16),(8,16),(8,32),(16,32)}} x {br_per_set} calls; equilibrium selection on (4,16) \
-         x {eq_per_set} calls"
+        "synthetic curves: (cores, ways) in {{(4,16),(8,16),(8,32),(16,32)}} x \
+         ({br_per_set} best-response + {eq_per_set} equilibrium-selection calls)"
     );
-    let solver_ops = stats.evaluations + stats.equilibria_examined;
     let metrics = vec![
         ("wall_seconds", Float(wall)),
         ("br_calls", UInt(br_calls)),
@@ -597,7 +594,7 @@ fn run_best_response(reps: usize, br_per_set: usize, eq_per_set: usize) -> Measu
         ("rounds", UInt(stats.rounds)),
         ("evaluations", UInt(stats.evaluations)),
         ("equilibria_examined", UInt(stats.equilibria_examined)),
-        ("ops_per_sec", per_sec(solver_ops, wall)),
+        ("ops_per_sec", per_sec(stats.evaluations, wall)),
     ];
     (workload, metrics)
 }

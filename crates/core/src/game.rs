@@ -30,27 +30,43 @@
 //! therefore the VF/core-size decision — stays the one at the strategy
 //! ways; the extra ways are simply left idle.
 //!
+//! ## An exact potential game
+//!
+//! Each core's energy depends only on its own ways; the shared budget only
+//! shapes the strategy sets. So `Φ(w) = Σ_i E_i(w_i)` — the total energy the
+//! cooperative arbiter minimizes — is an exact potential: a unilateral move
+//! changes `Φ` by exactly the mover's own change (Monderer–Shapley). Three
+//! consequences shape the solvers:
+//!
+//! * the minimum of `Φ` over the slack-allowed space is an equilibrium (a
+//!   strictly cheaper deviation would lower `Φ` below its minimum), so
+//!   equilibrium selection reads it off the cooperative min-plus arena;
+//! * a best-response move either lowers the mover's energy, or keeps it and
+//!   lowers the mover's ways (ties go to fewer ways), so `(Φ, Σ w)` falls
+//!   lexicographically every round that moves a core and no state can
+//!   repeat: best response needs no cycle detection;
+//! * a best-response fixed point is a local minimum of `Φ` under
+//!   unilateral moves, so E10's price of anarchy is the gap between a local
+//!   and the global minimum of one function.
+//!
 //! ## Solvers and the independent checker
 //!
 //! * [`best_response`] — deterministic iterated best response: round-robin
-//!   core order starting from the minimal feasible profile, bounded rounds,
-//!   cycle detection. On the monotone curves the local optimizer produces,
-//!   the first mover hoards the free pool — the classic selfish outcome
-//!   whose cost the E10 experiment reports as the price of anarchy.
-//! * [`min_energy_equilibrium`] — ZERO-Regrets-style equilibrium selection:
-//!   enumerates every candidate strategy vector, filters to pure Nash
-//!   equilibria using per-core prefix-minimum tables, and returns the
-//!   equilibrium minimizing total energy. Enumeration is combinatorial in
-//!   the core count (roughly `C(total_ways, cores)` candidates: ~1.8k at
-//!   4 cores / 16 ways, ~13k at 8 / 16) — intended for small platforms,
-//!   which is what E10 and the bench gate use.
+//!   core order starting from the minimal feasible profile, bounded rounds.
+//!   On the monotone curves the local optimizer produces, the first mover
+//!   hoards the free pool — the classic selfish outcome whose cost the E10
+//!   experiment reports as the price of anarchy.
+//! * [`min_energy_equilibrium`] — equilibrium selection: the slack-allowed
+//!   minimum of `Φ` from the cooperative arena
+//!   ([`crate::global`]), certified by best-response rounds started there.
+//!   It costs one pairwise reduction at any core count.
 //! * [`is_pure_nash`] — an exhaustive, solver-independent verifier of the
 //!   equilibrium definition that the solvers never consult. It exists so
 //!   property tests can adversarially validate every solver output.
 
 use crate::curve::{CurvePoint, EnergyCurve};
+use crate::global::{optimize_in_arena, Budget, Kernel, PruneStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Which global allocation algorithm step 4 of the RMA runs.
 ///
@@ -96,8 +112,8 @@ pub struct GameStats {
     pub rounds: u64,
     /// Single-core energy lookups performed while computing best responses.
     pub evaluations: u64,
-    /// Candidate strategy vectors examined by the equilibrium-selection
-    /// enumeration.
+    /// Candidates certified by equilibrium selection: one per solve that
+    /// found a feasible slack optimum.
     pub equilibria_examined: u64,
 }
 
@@ -115,9 +131,9 @@ pub struct GameOutcome {
     /// Total predicted energy of the strategy vector, in joules.
     pub total_energy: f64,
     /// Whether the solver reached a fixed point. Iterated best response
-    /// reports `false` when the round bound or a cycle cut it short (the
-    /// manager applies the last state regardless); equilibrium selection
-    /// always converges.
+    /// reports `false` only when the round bound cut it short (the manager
+    /// applies the last state regardless); equilibrium selection always
+    /// converges.
     pub converged: bool,
 }
 
@@ -226,10 +242,10 @@ pub fn is_pure_nash(curves: &[EnergyCurve], total_ways: usize, strategies: &[usi
 /// core order: core `i` moves to the smallest way count minimizing its own
 /// energy within its deviation budget (ties break towards fewer ways). A
 /// round without any change is a fixed point (`converged = true`); hitting
-/// [`GameConfig::max_rounds`] or revisiting an earlier state (a cycle)
-/// stops the solver with `converged = false` and the last state — the
-/// manager applies it anyway, mirroring a real runtime that cannot iterate
-/// forever.
+/// [`GameConfig::max_rounds`] stops the solver with `converged = false` and
+/// the last state — the manager applies it anyway, mirroring a real
+/// runtime that cannot iterate forever. No state repeats on the way (see
+/// the module docs), so there is no cycle to detect.
 ///
 /// Every energy lookup during a best-response scan counts one
 /// [`GameStats::evaluations`].
@@ -239,24 +255,25 @@ pub fn best_response(
     config: &GameConfig,
 ) -> (Option<GameOutcome>, GameStats) {
     let mut stats = GameStats::default();
-    if curves.is_empty() {
-        return (None, stats);
-    }
-    let mut strategies = Vec::with_capacity(curves.len());
-    for curve in curves {
-        match curve.min_feasible_ways() {
-            Some(w) => strategies.push(w),
-            None => return (None, stats),
-        }
-    }
-    if strategies.iter().sum::<usize>() > total_ways {
-        return (None, stats);
-    }
+    let start: Option<Vec<usize>> = curves.iter().map(EnergyCurve::min_feasible_ways).collect();
+    let outcome = start
+        .filter(|start| !start.is_empty() && start.iter().sum::<usize>() <= total_ways)
+        .map(|start| respond(curves, total_ways, start, config.max_rounds, &mut stats));
+    (outcome, stats)
+}
 
-    let mut visited: HashSet<Vec<usize>> = HashSet::new();
-    visited.insert(strategies.clone());
+/// Runs rounds of best responses from the feasible profile `strategies`
+/// until a round moves no core (`converged = true`) or `max_rounds` rounds
+/// have run, counting rounds and energy lookups into `stats`.
+fn respond(
+    curves: &[EnergyCurve],
+    total_ways: usize,
+    mut strategies: Vec<usize>,
+    max_rounds: usize,
+    stats: &mut GameStats,
+) -> GameOutcome {
     let mut converged = false;
-    for _ in 0..config.max_rounds {
+    for _ in 0..max_rounds {
         stats.rounds += 1;
         let mut changed = false;
         for i in 0..curves.len() {
@@ -283,9 +300,6 @@ pub fn best_response(
             converged = true;
             break;
         }
-        if !visited.insert(strategies.clone()) {
-            break; // cycle: stop on the repeated state
-        }
     }
 
     // The start is feasible and a best response only ever moves to a finite
@@ -296,150 +310,52 @@ pub fn best_response(
         .map(|(curve, &w)| curve.point(w).expect("best response stays feasible"))
         .collect();
     let energy = total_energy(curves, &strategies);
-    (
-        Some(GameOutcome {
-            strategies,
-            points,
-            total_energy: energy,
-            converged,
-        }),
-        stats,
-    )
-}
-
-/// Shared state of the equilibrium-selection enumeration.
-struct Enumeration<'a> {
-    /// Per-core energy tables over `1..=min(max_ways, total_ways)`
-    /// (`energies[i][w - 1]`).
-    energies: &'a [Vec<f64>],
-    /// Per-core prefix minima: `prefix_min[i][w - 1]` is the cheapest
-    /// energy core `i` can reach with at most `w` ways.
-    prefix_min: &'a [Vec<f64>],
-    total_ways: usize,
-    stats: GameStats,
-    /// Best equilibrium so far: `(total energy, strategies)`.
-    best: Option<(f64, Vec<usize>)>,
-}
-
-impl Enumeration<'_> {
-    /// Extends the partial vector `strategies` (cores `0..i` fixed, `used`
-    /// ways consumed) over all completions, testing complete candidates for
-    /// the equilibrium property.
-    fn descend(&mut self, i: usize, used: usize, strategies: &mut Vec<usize>) {
-        let n = self.energies.len();
-        if i == n {
-            self.stats.equilibria_examined += 1;
-            let free = self.total_ways - used;
-            let mut total = 0.0;
-            for (core, &w) in strategies.iter().enumerate() {
-                let energy = self.energies[core][w - 1];
-                // Nash test via the prefix-minimum table: core `core` has a
-                // strictly cheaper deviation iff the prefix minimum over its
-                // budget undercuts its current energy. Structurally
-                // different from `is_pure_nash`'s naive scan on purpose —
-                // the checker stays independent of the solver.
-                let budget = (w + free).min(self.energies[core].len());
-                if self.prefix_min[core][budget - 1] < energy {
-                    return;
-                }
-                total += energy;
-            }
-            // Enumeration is lexicographic, so a strict `<` keeps the
-            // lexicographically smallest strategy vector on energy ties.
-            if self.best.as_ref().is_none_or(|(best, _)| total < *best) {
-                self.best = Some((total, strategies.clone()));
-            }
-            return;
-        }
-        let reserved = n - i - 1; // later cores need at least one way each
-        for w in 1..=self.energies[i].len() {
-            if used + w + reserved > self.total_ways {
-                break;
-            }
-            if !self.energies[i][w - 1].is_finite() {
-                continue;
-            }
-            strategies.push(w);
-            self.descend(i + 1, used + w, strategies);
-            strategies.pop();
-        }
+    GameOutcome {
+        strategies,
+        points,
+        total_energy: energy,
+        converged,
     }
 }
 
-/// ZERO-Regrets-style equilibrium selection: enumerates every candidate
-/// strategy vector (each core `1..=total_ways` feasible ways, sum at most
-/// `total_ways`), keeps the pure Nash equilibria, and returns the one with
-/// the minimum total energy (lexicographically smallest strategies on
-/// ties). `None` when no candidate exists (some curve fully infeasible, or
-/// the minimal feasible profile does not fit).
+/// Equilibrium selection: the minimum-total-energy pure Nash equilibrium.
+/// `None` when no strategy vector is feasible (some curve fully infeasible,
+/// or the minimal feasible profile does not fit in `total_ways`).
 ///
-/// In this game free disposal makes the social optimum itself an
-/// equilibrium — a unilateral deviation that lowers one core's energy
-/// also lowers the total, contradicting optimality — so the selected
-/// equilibrium matches the slack-allowed cooperative optimum and the best
-/// equilibrium's price of anarchy is 1 by construction. The enumeration is
-/// combinatorial in the core count; see the module docs for sizes.
+/// The game is an exact potential game over `Φ = Σ_i E_i(w_i)` (see the
+/// module docs), so the cheapest equilibrium is the slack-allowed minimum of
+/// `Φ`. One cold reduction of the cooperative arena ([`crate::global`])
+/// computes `Φ`'s minimum at every budget, and its root row is read at the
+/// first minimum over the budgets `cores..=total_ways`: ties go to the
+/// fewest total ways, then to the arena's split order.
 ///
-/// Every complete candidate vector counts one
-/// [`GameStats::equilibria_examined`].
+/// Best-response rounds started from that point certify it. On an
+/// equilibrium the first round moves nothing. No core can move to fewer
+/// ways at equal or lower energy: with f64 addition monotone, the same
+/// tree-order sum would then be reached at a smaller budget, and the budget
+/// read is the first minimum. The only possible move is a strictly cheaper
+/// one to more ways that f64 rounding hides in the sum (`4.0 + (1 − 2⁻⁵³)`
+/// rounds to `5.0`); the rounds then descend from there. Every move lowers
+/// `(Φ, Σ w)` lexicographically over a finite space, so the rounds run
+/// unbounded and end at a best-response fixed point: the outcome is an
+/// equilibrium by construction and always `converged`.
+///
+/// Returns the outcome, the certificate's [`GameStats`] (one
+/// [`GameStats::equilibria_examined`] per certified candidate) and the
+/// arena's [`PruneStats`].
 pub fn min_energy_equilibrium(
     curves: &[EnergyCurve],
     total_ways: usize,
-) -> (Option<GameOutcome>, GameStats) {
-    let stats = GameStats::default();
-    if curves.is_empty() || total_ways < curves.len() {
-        return (None, stats);
-    }
-    let energies: Vec<Vec<f64>> = curves
-        .iter()
-        .map(|curve| {
-            (1..=curve.max_ways().min(total_ways))
-                .map(|w| curve.energy(w))
-                .collect()
-        })
-        .collect();
-    if energies.iter().any(Vec::is_empty) {
-        return (None, stats);
-    }
-    let prefix_min: Vec<Vec<f64>> = energies
-        .iter()
-        .map(|row| {
-            let mut best = f64::INFINITY;
-            row.iter()
-                .map(|&e| {
-                    best = best.min(e);
-                    best
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut enumeration = Enumeration {
-        energies: &energies,
-        prefix_min: &prefix_min,
-        total_ways,
-        stats,
-        best: None,
-    };
-    enumeration.descend(0, 0, &mut Vec::with_capacity(curves.len()));
-    let stats = enumeration.stats;
-    let Some((energy, strategies)) = enumeration.best else {
-        return (None, stats);
-    };
-    let points: Vec<CurvePoint> = curves
-        .iter()
-        .zip(&strategies)
-        .map(|(curve, &w)| curve.point(w).expect("equilibrium candidates are feasible"))
-        .collect();
-    (
-        Some(GameOutcome {
-            strategies,
-            points,
-            total_energy: energy,
-            converged: true,
-        }),
-        stats,
-    )
+) -> (Option<GameOutcome>, GameStats, PruneStats) {
+    let mut stats = GameStats::default();
+    let (optimum, reduction) =
+        optimize_in_arena(curves, total_ways, true, Kernel::Chunked, Budget::Slack);
+    let outcome = optimum.map(|optimum| {
+        stats.equilibria_examined += 1;
+        let start = optimum.iter().map(|&(ways, _)| ways).collect();
+        respond(curves, total_ways, start, usize::MAX, &mut stats)
+    });
+    (outcome, stats, reduction)
 }
 
 #[cfg(test)]
@@ -556,7 +472,7 @@ mod tests {
             curve(&[5.0, 4.0, 4.5, 1.0, 3.0]),
         ];
         let total_ways = 8;
-        let (outcome, stats) = min_energy_equilibrium(&curves, total_ways);
+        let (outcome, stats, reduction) = min_energy_equilibrium(&curves, total_ways);
         let outcome = outcome.unwrap();
         assert!(outcome.converged);
         assert!(is_pure_nash(&curves, total_ways, &outcome.strategies));
@@ -578,8 +494,41 @@ mod tests {
         let (brute_energy, brute_strategies) = best.expect("an equilibrium exists");
         assert_eq!(outcome.strategies, brute_strategies);
         assert!((outcome.total_energy - brute_energy).abs() < 1e-12);
-        assert!(stats.equilibria_examined > 0);
-        assert_eq!(stats.rounds, 0);
+        // One candidate, certified by one round that moves nothing.
+        assert_eq!(stats.equilibria_examined, 1);
+        assert_eq!(stats.rounds, 1);
+        assert!(reduction.ops > 0, "the arena's work is reported");
+    }
+
+    #[test]
+    fn certificate_rounds_recover_a_move_rounding_hides() {
+        // `4.0 + (1 − 2⁻⁵³)` rounds to `5.0`, so budgets 2 and 3 tie in the
+        // arena and the first minimum unwinds to (1, 1) — which is not an
+        // equilibrium: core 1 strictly gains by taking the free way.
+        let just_below_one = 1.0 - f64::EPSILON / 2.0;
+        let curves = vec![
+            curve(&[4.0, INF, INF]),
+            curve(&[1.0, just_below_one, just_below_one]),
+        ];
+        assert!(!is_pure_nash(&curves, 3, &[1, 1]));
+        let (outcome, stats, _) = min_energy_equilibrium(&curves, 3);
+        let outcome = outcome.unwrap();
+        assert!(outcome.converged);
+        assert_eq!(outcome.strategies, vec![1, 2]);
+        assert!(is_pure_nash(&curves, 3, &outcome.strategies));
+        assert_eq!((stats.equilibria_examined, stats.rounds), (1, 2));
+    }
+
+    #[test]
+    fn equilibrium_ties_go_to_the_fewest_ways() {
+        // (2,1), (3,1), (2,2) and (1,3) all cost 3.0 and are equilibria;
+        // (2,1) is the only one on the fewest ways.
+        let curves = vec![curve(&[2.0, 1.0, 1.0, 1.0]), curve(&[2.0, 2.0, 1.0, 1.0])];
+        let (outcome, _, _) = min_energy_equilibrium(&curves, 4);
+        let outcome = outcome.unwrap();
+        assert_eq!(outcome.strategies, vec![2, 1]);
+        assert!(is_pure_nash(&curves, 4, &outcome.strategies));
+        assert_eq!(outcome.total_energy, 3.0);
     }
 
     #[test]

@@ -136,7 +136,7 @@ struct Arena {
 
 /// Which candidate-scan implementation a reduction runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
+pub(crate) enum Kernel {
     /// The flat 4-wide-chunked pass (production path).
     Chunked,
     /// The per-candidate scalar loop preserved as the perf-gate and
@@ -672,11 +672,27 @@ fn extract_result(
     Some(result)
 }
 
-fn optimize_in_arena(
+/// Which root cell of a cold reduction [`optimize_in_arena`] unwinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Budget {
+    /// Exactly `total_ways`: the cooperative step's exact-sum partition.
+    Exact,
+    /// The first minimum over the budgets `cores..=total_ways`: the
+    /// slack-allowed optimum that equilibrium selection starts from
+    /// ([`crate::game::min_energy_equilibrium`]). Ties go to the fewest
+    /// total ways, then to the arena's split order.
+    Slack,
+}
+
+/// Builds a cold reduction of `curves` over `total_ways` and unwinds the
+/// root cell `budget` selects: the one min-plus solver behind the
+/// cooperative entry points below and equilibrium selection.
+pub(crate) fn optimize_in_arena(
     curves: &[EnergyCurve],
     total_ways: usize,
     prune: bool,
     kernel: Kernel,
+    budget: Budget,
 ) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats) {
     let mut stats = PruneStats::default();
     if curves.is_empty() || total_ways < curves.len() {
@@ -692,7 +708,19 @@ fn optimize_in_arena(
         &mut scratch,
         &mut stats,
     );
-    (extract_result(&arena, root, curves, total_ways), stats)
+    // Without an incumbent bound the root row is exact at every budget.
+    let ways = match budget {
+        Budget::Exact => total_ways,
+        // Strict `<`: the first minimum, on the fewest ways, wins ties.
+        Budget::Slack => (curves.len()..=total_ways).fold(curves.len(), |best, ways| {
+            if arena.energy_at(root, ways) < arena.energy_at(root, best) {
+                ways
+            } else {
+                best
+            }
+        }),
+    };
+    (extract_result(&arena, root, curves, ways), stats)
 }
 
 /// Finds the energy-minimal distribution of `total_ways` LLC ways among the
@@ -706,7 +734,7 @@ pub fn optimize_partition(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> Option<Vec<(usize, CurvePoint)>> {
-    optimize_in_arena(curves, total_ways, true, Kernel::Chunked).0
+    optimize_in_arena(curves, total_ways, true, Kernel::Chunked, Budget::Exact).0
 }
 
 /// Like [`optimize_partition`], additionally returning the [`PruneStats`]
@@ -715,7 +743,7 @@ pub fn optimize_partition_with_stats(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats) {
-    optimize_in_arena(curves, total_ways, true, Kernel::Chunked)
+    optimize_in_arena(curves, total_ways, true, Kernel::Chunked, Budget::Exact)
 }
 
 /// The pre-chunking pruned scalar path, preserved so the perf gate can
@@ -725,7 +753,7 @@ pub fn optimize_partition_scalar(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats) {
-    optimize_in_arena(curves, total_ways, true, Kernel::Scalar)
+    optimize_in_arena(curves, total_ways, true, Kernel::Scalar, Budget::Exact)
 }
 
 /// Reference implementation running the full (unpruned) min-plus convolution
@@ -739,7 +767,7 @@ pub fn optimize_partition_unpruned(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> Option<Vec<(usize, CurvePoint)>> {
-    optimize_in_arena(curves, total_ways, false, Kernel::Scalar).0
+    optimize_in_arena(curves, total_ways, false, Kernel::Scalar, Budget::Exact).0
 }
 
 /// Sums per-core energies in the exact pairwise-reduction association order
@@ -1122,8 +1150,8 @@ mod tests {
     #[test]
     fn stats_count_all_candidates_when_unpruned() {
         let curves = vec![flat_curve(1.0, 8), flat_curve(2.0, 8)];
-        let (_, pruned_stats) = optimize_in_arena(&curves, 8, true, Kernel::Chunked);
-        let (_, full_stats) = optimize_in_arena(&curves, 8, false, Kernel::Scalar);
+        let (_, pruned_stats) = optimize_in_arena(&curves, 8, true, Kernel::Chunked, Budget::Exact);
+        let (_, full_stats) = optimize_in_arena(&curves, 8, false, Kernel::Scalar, Budget::Exact);
         assert_eq!(full_stats.pruned, 0);
         assert_eq!(
             pruned_stats.ops + pruned_stats.pruned,

@@ -2,7 +2,9 @@
 
 use crate::curve::{CurvePoint, EnergyCurve};
 use crate::game::{self, GameConfig, PartitionAlgo};
-use crate::global::{incumbent_energy, optimize_partition_with_stats, IncrementalOptimizer};
+use crate::global::{
+    incumbent_energy, optimize_partition_with_stats, IncrementalOptimizer, PruneStats,
+};
 use crate::local::{LocalOptimizer, LocalOptimizerConfig};
 use crate::memo::{self, CurveCache, CurveKey};
 use crate::model::ModelKind;
@@ -119,12 +121,13 @@ pub struct RmaWorkCounters {
     /// [`rma-sim`](../../rma_sim/index.html)'s `SimulationResult`.
     pub qos_at_risk_intervals: u64,
     /// Best-response rounds executed by the game-theoretic partition
-    /// algorithms (zero under the cooperative arbiter).
+    /// algorithms, NashEq's certificate rounds included (zero under the
+    /// cooperative arbiter).
     pub game_rounds: u64,
     /// Single-core energy lookups performed while computing best responses.
     pub best_response_evaluations: u64,
-    /// Candidate strategy vectors examined by the equilibrium-selection
-    /// enumeration.
+    /// Candidates certified by equilibrium selection: one per NashEq solve
+    /// that found a feasible slack optimum.
     pub equilibria_examined: u64,
     /// Invocations whose observation equalled the invoking core's previous
     /// one bit for bit, so the retained curve was reused with no model
@@ -141,8 +144,17 @@ pub struct RmaWorkCounters {
     /// would.
     pub warm_rows_reused: u64,
     /// Full 4-wide chunk passes executed by the chunked min-plus kernel
-    /// across all cooperative global steps.
+    /// across all cooperative and equilibrium-selection global steps.
     pub chunked_conv_lanes: u64,
+}
+
+impl RmaWorkCounters {
+    /// Adds one min-plus reduction's work.
+    fn add_reduction(&mut self, stats: PruneStats) {
+        self.reduction_ops += stats.ops;
+        self.reduction_pruned += stats.pruned;
+        self.chunked_conv_lanes += stats.lanes;
+    }
 }
 
 impl std::fmt::Display for RmaWorkCounters {
@@ -367,9 +379,9 @@ impl CoordinatedRma {
 
     /// A manager on the RM2 knobs whose global step applies the
     /// minimum-total-energy pure Nash equilibrium
-    /// ([`crate::game::min_energy_equilibrium`]). Equilibrium enumeration
-    /// is combinatorial in the core count — use on small (≤ 4-core)
-    /// platforms.
+    /// ([`crate::game::min_energy_equilibrium`]): the slack-allowed optimum
+    /// of the cooperative arena, certified by best response, at any core
+    /// count.
     pub fn nash_equilibrium(platform: &PlatformConfig, qos: Vec<QosSpec>) -> Self {
         let mut config = RmaConfig::paper1(qos);
         config.partition_algo = PartitionAlgo::NashMinEnergyEquilibrium;
@@ -644,9 +656,7 @@ impl ResourceManager for CoordinatedRma {
                     total_ways,
                     incumbent,
                 );
-                self.counters.reduction_ops += prune_stats.ops;
-                self.counters.reduction_pruned += prune_stats.pruned;
-                self.counters.chunked_conv_lanes += prune_stats.lanes;
+                self.counters.add_reduction(prune_stats);
                 self.counters.warm_rows_reused += warm.rows_reused;
                 if let Some(allocation) = &allocation {
                     self.last_ways = Some(allocation.iter().map(|&(ways, _)| ways).collect());
@@ -655,9 +665,7 @@ impl ResourceManager for CoordinatedRma {
             }
             PartitionAlgo::Cooperative => {
                 let (allocation, prune_stats) = optimize_partition_with_stats(curves, total_ways);
-                self.counters.reduction_ops += prune_stats.ops;
-                self.counters.reduction_pruned += prune_stats.pruned;
-                self.counters.chunked_conv_lanes += prune_stats.lanes;
+                self.counters.add_reduction(prune_stats);
                 allocation
             }
             PartitionAlgo::NashBestResponse => {
@@ -668,7 +676,9 @@ impl ResourceManager for CoordinatedRma {
                 outcome.map(|o| o.exact_sum_allocation(total_ways))
             }
             PartitionAlgo::NashMinEnergyEquilibrium => {
-                let (outcome, stats) = game::min_energy_equilibrium(curves, total_ways);
+                let (outcome, stats, prune_stats) =
+                    game::min_energy_equilibrium(curves, total_ways);
+                self.counters.add_reduction(prune_stats);
                 self.counters.game_rounds += stats.rounds;
                 self.counters.best_response_evaluations += stats.evaluations;
                 self.counters.equilibria_examined += stats.equilibria_examined;
@@ -1069,8 +1079,13 @@ mod tests {
         let setting = run_all_cores(&mut eq, observations());
         assert!(setting.validate(&p).is_ok());
         let counters = eq.work_counters();
-        assert!(counters.equilibria_examined > 0, "no candidates examined");
-        assert_eq!(counters.game_rounds, 0);
+        assert!(counters.equilibria_examined > 0, "no candidates certified");
+        // Every certificate settles in one round that moves nothing.
+        assert_eq!(counters.game_rounds, counters.equilibria_examined);
+        assert!(
+            counters.reduction_ops > 0,
+            "equilibrium selection reads the cooperative arena"
+        );
 
         // The cooperative manager never touches the game counters.
         let mut rm2 = CoordinatedRma::paper1(&p, vec![QosSpec::STRICT; 4]);

@@ -5,7 +5,7 @@ use qosrm_core::{
     best_response, exhaustive_partition, incumbent_energy, is_pure_nash, min_energy_equilibrium,
     optimize_partition, optimize_partition_scalar, optimize_partition_unpruned,
     optimize_partition_with_stats, total_energy, CoordinatedRma, CurvePoint, EnergyCurve,
-    GameConfig, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig, ModelKind,
+    GameConfig, GameOutcome, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig, ModelKind,
     PartitionAlgo, RmaConfig,
 };
 use qosrm_types::{
@@ -13,31 +13,42 @@ use qosrm_types::{
     MissProfile, MlpProfile, PlatformConfig, QosSpec, ResourceManager, SystemSetting,
 };
 
+/// A curve over `energies.len()` ways whose first `infeasible` ways have no
+/// feasible point.
+fn curve_of(infeasible: usize, energies: Vec<f64>) -> EnergyCurve {
+    let points = energies
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| {
+            (i >= infeasible).then_some(CurvePoint {
+                energy_joules: e,
+                freq: FreqLevel(i % 13),
+                core_size: CoreSizeIdx(i % 3),
+                time_seconds: 0.05,
+                ways: i + 1,
+            })
+        })
+        .collect();
+    EnergyCurve::new(points)
+}
+
 fn curve_strategy(max_ways: usize) -> impl Strategy<Value = EnergyCurve> {
     // Leading infeasible prefix of 0..=3 ways, then arbitrary positive
     // energies.
-    (0usize..4, prop::collection::vec(0.1f64..20.0, max_ways)).prop_map(
-        move |(infeasible, energies)| {
-            let points = energies
-                .into_iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    if i < infeasible {
-                        None
-                    } else {
-                        Some(CurvePoint {
-                            energy_joules: e,
-                            freq: FreqLevel(i % 13),
-                            core_size: CoreSizeIdx(i % 3),
-                            time_seconds: 0.05,
-                            ways: i + 1,
-                        })
-                    }
-                })
-                .collect();
-            EnergyCurve::new(points)
-        },
-    )
+    (0usize..4, prop::collection::vec(0.1f64..20.0, max_ways))
+        .prop_map(|(infeasible, energies)| curve_of(infeasible, energies))
+}
+
+/// Like [`curve_strategy`], with energies on a 0.25 grid in `[0.25, 20]`:
+/// every f64 sum of a few of them is exact, so a flat sum compares like
+/// the real potential, and equal energies (ties) are common.
+fn grid_curve_strategy(max_ways: usize) -> impl Strategy<Value = EnergyCurve> {
+    (0usize..4, prop::collection::vec(1u32..81, max_ways)).prop_map(|(infeasible, steps)| {
+        curve_of(
+            infeasible,
+            steps.into_iter().map(|q| f64::from(q) * 0.25).collect(),
+        )
+    })
 }
 
 proptest! {
@@ -520,15 +531,53 @@ proptest! {
         }
     }
 
+    /// Best response needs no cycle detection: every round that moves a
+    /// core strictly lowers `(Φ, Σ w)` lexicographically — a move lowers
+    /// the mover's energy, or keeps it and lowers its ways — so no state
+    /// repeats. The states after `k = 0, 1, …` rounds descend until the
+    /// final round, which moves nothing.
+    #[test]
+    fn best_response_rounds_descend_the_potential(
+        curves in prop::collection::vec(grid_curve_strategy(16), 2..5),
+        total_ways in 8usize..17,
+    ) {
+        let (last, stats) = best_response(&curves, total_ways, &GameConfig::default());
+        let Some(last) = last else {
+            return Ok(());
+        };
+        prop_assert!(last.converged);
+        let states: Vec<GameOutcome> = (0..stats.rounds as usize)
+            .map(|max_rounds| {
+                best_response(&curves, total_ways, &GameConfig { max_rounds })
+                    .0
+                    .expect("the start state fits")
+            })
+            .collect();
+        let key = |o: &GameOutcome| (o.total_energy, o.strategies.iter().sum::<usize>());
+        for (k, pair) in states.windows(2).enumerate() {
+            let ((before_energy, before_ways), (after_energy, after_ways)) =
+                (key(&pair[0]), key(&pair[1]));
+            prop_assert!(
+                after_energy < before_energy
+                    || (after_energy == before_energy && after_ways < before_ways),
+                "round {} did not descend: {:?} -> {:?}",
+                k + 1,
+                pair[0].strategies,
+                pair[1].strategies
+            );
+        }
+        prop_assert_eq!(&states.last().expect("one round ran").strategies, &last.strategies);
+    }
+
     /// Equilibrium selection returns the minimum-total-energy equilibrium:
     /// brute-force every strategy vector, keep those the independent checker
     /// certifies, and the solver's pick must match the cheapest exactly.
     #[test]
     fn equilibrium_selection_is_the_minimum_energy_equilibrium(
-        curves in prop::collection::vec(curve_strategy(8), 2..4),
+        curves in prop::collection::vec(curve_strategy(8), 2..5),
     ) {
         let total_ways = 8usize;
-        let (outcome, stats) = min_energy_equilibrium(&curves, total_ways);
+        let (outcome, stats, _) = min_energy_equilibrium(&curves, total_ways);
 
         let mut brute_best: Option<f64> = None;
         let mut vector = vec![1usize; curves.len()];
@@ -560,7 +609,8 @@ proptest! {
         match (outcome, brute_best) {
             (Some(outcome), Some(best)) => {
                 prop_assert!(outcome.converged);
-                prop_assert!(stats.equilibria_examined > 0);
+                prop_assert_eq!(stats.equilibria_examined, 1);
+                prop_assert!(stats.rounds >= 1);
                 prop_assert!(
                     is_pure_nash(&curves, total_ways, &outcome.strategies),
                     "selected outcome {:?} is not an equilibrium",
@@ -596,7 +646,7 @@ proptest! {
         }
         let coop = optimize_partition(&smoothed, total_ways);
         let (nash, _) = best_response(&curves, total_ways, &GameConfig::default());
-        let (equilibrium, _) = min_energy_equilibrium(&curves, total_ways);
+        let (equilibrium, _, _) = min_energy_equilibrium(&curves, total_ways);
         prop_assert_eq!(coop.is_some(), nash.is_some());
         prop_assert_eq!(coop.is_some(), equilibrium.is_some());
         if let (Some(coop), Some(nash), Some(equilibrium)) = (coop, nash, equilibrium) {
@@ -608,6 +658,7 @@ proptest! {
                 coop_energy
             );
             prop_assert!(equilibrium.total_energy >= coop_energy - 1e-9);
+            prop_assert!(is_pure_nash(&curves, total_ways, &equilibrium.strategies));
             // The selected equilibrium is never worse than an arbitrary
             // best-response fixed point it coexists with.
             if nash.converged {
@@ -633,6 +684,7 @@ proptest! {
         let first = min_energy_equilibrium(&curves, total_ways);
         let second = min_energy_equilibrium(&curves, total_ways);
         prop_assert_eq!(&first.1, &second.1);
+        prop_assert_eq!(&first.2, &second.2);
         prop_assert_eq!(
             serde_json::to_string(&first.0).unwrap(),
             serde_json::to_string(&second.0).unwrap()

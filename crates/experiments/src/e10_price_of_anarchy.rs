@@ -10,10 +10,12 @@
 //!
 //! * `RM2` — the cooperative optimum ([`RmaVariant::Paper1`]);
 //! * `NashBR` — iterated best response ([`RmaVariant::NashBestResponse`]),
-//!   where the first responder hoards the free way pool;
+//!   where the first responder hoards the free way pool; its fixed point is
+//!   a local minimum of the total energy under unilateral moves;
 //! * `NashEq` — minimum-total-energy pure Nash equilibrium
-//!   ([`RmaVariant::NashEquilibrium`]), the ZERO-Regrets selection, which by
-//!   free disposal coincides with the slack-allowed social optimum —
+//!   ([`RmaVariant::NashEquilibrium`]): total energy is the game's exact
+//!   potential, so this is its global minimum, the slack-allowed social
+//!   optimum —
 //!
 //! and reports each game variant's **price of anarchy**: the ratio of its
 //! managed energy to the cooperative optimum's,
@@ -24,8 +26,10 @@
 //! honor the same per-core QoS constraints in their curves, so violations
 //! stay comparable).
 //!
-//! The grid is deliberately 4-core only: equilibrium enumeration is
-//! combinatorial in the core count (see [`qosrm_core::game`]).
+//! The grid is 4-core because it is Paper I's 4-core workload grid, not
+//! because of solver cost: NashEq reads the cooperative arena and runs at
+//! any core count (see [`qosrm_core::game`]), and the committed
+//! `examples/specs/nash_8core.json` runs all three managers on 8 cores.
 
 use crate::context::{mean, ExperimentContext};
 use crate::report::{ExperimentReport, ReportRow};

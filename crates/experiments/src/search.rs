@@ -94,8 +94,6 @@ pub enum NashSide {
     /// Iterated best response ([`RmaVariant::NashBestResponse`]).
     BestResponse,
     /// Minimum-energy pure equilibrium ([`RmaVariant::NashEquilibrium`]).
-    /// Restricted to 4-core platforms: the exhaustive equilibrium
-    /// enumeration is exponential in cores.
     Equilibrium,
 }
 
@@ -165,7 +163,7 @@ impl Genome {
             name_prefix: "sx-".to_string(),
         };
         let qos_level = rng.gen_range(0..QOS_LADDER.len());
-        let nash = Genome::pick_nash(rng, cores);
+        let nash = Genome::pick_nash(rng);
         Genome {
             cores,
             synth,
@@ -174,10 +172,9 @@ impl Genome {
         }
     }
 
-    /// Draws a Nash side valid for `cores` (equilibrium enumeration is
-    /// exponential in cores, so 8-core genomes stick to best response).
-    fn pick_nash(rng: &mut ChaCha8Rng, cores: usize) -> NashSide {
-        if cores > 4 || rng.gen_range(0..2u64) == 0 {
+    /// Draws a Nash side, each with probability one half.
+    fn pick_nash(rng: &mut ChaCha8Rng) -> NashSide {
+        if rng.gen_range(0..2u64) == 0 {
             NashSide::BestResponse
         } else {
             NashSide::Equilibrium
@@ -198,9 +195,6 @@ impl Genome {
                     .unwrap_or(0);
                 next.cores = CORE_CHOICES[(at + 1) % CORE_CHOICES.len()];
                 next.synth.num_cores = next.cores;
-                if next.cores > 4 {
-                    next.nash = NashSide::BestResponse;
-                }
             }
             1 => next.synth = self.synth.mutated(rng, config.max_mixes.max(1)),
             2 => {
@@ -208,9 +202,9 @@ impl Genome {
                 next.qos_level = (self.qos_level + offset) % QOS_LADDER.len();
             }
             _ => {
-                next.nash = match (self.nash, self.cores) {
-                    (NashSide::BestResponse, c) if c <= 4 => NashSide::Equilibrium,
-                    _ => NashSide::BestResponse,
+                next.nash = match self.nash {
+                    NashSide::BestResponse => NashSide::Equilibrium,
+                    NashSide::Equilibrium => NashSide::BestResponse,
                 };
             }
         }
@@ -239,9 +233,6 @@ impl Genome {
         } else {
             other.nash
         };
-        if child.cores > 4 {
-            child.nash = NashSide::BestResponse;
-        }
         child
     }
 
@@ -781,15 +772,9 @@ mod tests {
             let m = a.mutated(&mut rng, &config);
             assert_eq!(m.synth.num_cores, m.cores, "synth family follows cores");
             assert!(m.synth.count >= 1 && m.synth.count <= config.max_mixes);
-            if m.cores > 4 {
-                assert_eq!(m.nash, NashSide::BestResponse);
-            }
             let b = Genome::random(&mut rng, &config);
             let child = a.crossover(&b, &mut rng);
             assert_eq!(child.synth.num_cores, child.cores);
-            if child.cores > 4 {
-                assert_eq!(child.nash, NashSide::BestResponse);
-            }
         }
     }
 

@@ -166,8 +166,8 @@ pub enum RmaVariant {
     /// (label `"NashBR"`); E10 reports its price of anarchy.
     NashBestResponse,
     /// Minimum-total-energy pure Nash equilibrium on the RM2 knobs (label
-    /// `"NashEq"`). Equilibrium enumeration is combinatorial in the core
-    /// count — use on small (≤ 4-core) platforms.
+    /// `"NashEq"`): the cooperative arena's slack-allowed optimum, certified
+    /// by best response.
     NashEquilibrium,
     /// DVFS + partitioning with an explicit model choice (used by the
     /// perfect-model and model-comparison studies).
