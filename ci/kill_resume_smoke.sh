@@ -11,10 +11,11 @@
 #          `qosrm_load`, SIGKILL the daemon mid-run, restart it on the same
 #          port (the load generator rides out the window on transport
 #          retries) and let the resumed run complete
-#          dist — start a `sweep coordinate` coordinator and three `sweep
-#          work` worker processes; SIGKILL one worker mid-shard (a per-shard
-#          delay parks it between lease and completion), wait for its lease
-#          to expire and the shard to be reinjected to a surviving worker,
+#          dist — start a `sweep coordinate` coordinator and three wire
+#          workers (two `sweep work` processes and one `qosrm_worker`);
+#          SIGKILL one worker mid-shard (a per-shard delay parks it between
+#          evaluating a shard and delivering it), wait for its lease to
+#          expire and the shard to be reinjected to a surviving worker,
 #          then `sweep merge` the distributed run
 #
 # All modes first produce a reference result from one uninterrupted
@@ -25,6 +26,7 @@
 #   QOSRM_EXPERIMENTS_BIN    default target/release/qosrm_experiments
 #   QOSRM_SERVE_BIN          default target/release/qosrm_serve
 #   QOSRM_LOAD_BIN           default target/release/qosrm_load
+#   QOSRM_WORKER_BIN         default target/release/qosrm_worker
 #   QOSRM_SMOKE_SHARD_SIZE   default 4
 #   QOSRM_SMOKE_CLIENTS      default 100 (serve mode: concurrent submitters)
 #   QOSRM_SMOKE_SHARD_DELAY_MS  default 150 (serve mode: per-shard pause so
@@ -46,6 +48,7 @@ MODE=$3
 EXPERIMENTS_BIN=${QOSRM_EXPERIMENTS_BIN:-target/release/qosrm_experiments}
 SERVE_BIN=${QOSRM_SERVE_BIN:-target/release/qosrm_serve}
 LOAD_BIN=${QOSRM_LOAD_BIN:-target/release/qosrm_load}
+WORKER_BIN=${QOSRM_WORKER_BIN:-target/release/qosrm_worker}
 SHARD_SIZE=${QOSRM_SMOKE_SHARD_SIZE:-4}
 CLIENTS=${QOSRM_SMOKE_CLIENTS:-100}
 SHARD_DELAY_MS=${QOSRM_SMOKE_SHARD_DELAY_MS:-150}
@@ -162,9 +165,11 @@ case "$MODE" in
     ;;
   dist)
     # Coordinator + three wire workers. worker-1 is the victim: its long
-    # per-shard delay parks it between leasing a shard and delivering the
-    # completion, so the SIGKILL deterministically lands mid-shard. The
-    # survivors drain the rest, the victim's lease expires after
+    # per-shard delay parks it between evaluating a shard and delivering
+    # the completion, with no heartbeat running, so the SIGKILL
+    # deterministically lands mid-shard. The survivors drain the rest (the
+    # two worker binaries run the same drain loop: worker-2 is `sweep
+    # work`, worker-3 is `qosrm_worker`), the victim's lease expires after
     # $LEASE_MS, the coordinator reinjects the orphaned shard, and a
     # survivor re-runs it — the merged result must still be byte-identical
     # to the single-process reference.
@@ -190,7 +195,7 @@ case "$MODE" in
     "$EXPERIMENTS_BIN" sweep work --addr "$ADDR" --worker worker-2 \
       >"$OUT/worker-2.log" 2>&1 &
     w2_pid=$!
-    "$EXPERIMENTS_BIN" sweep work --addr "$ADDR" --worker worker-3 \
+    "$WORKER_BIN" --addr "$ADDR" --worker worker-3 \
       >"$OUT/worker-3.log" 2>&1 &
     w3_pid=$!
     extra_pids="$extra_pids $w2_pid $w3_pid"

@@ -930,7 +930,6 @@ fn run_dist(reps: usize, workers: usize, mixes: usize) -> Measured {
             let worker = |i| {
                 let config = WorkerConfig {
                     worker: format!("bench-w{i}"),
-                    poll_ms: 10,
                     ..Default::default()
                 };
                 dist::run_worker_with(&addr, &config, &mut |_| ctx.clone())

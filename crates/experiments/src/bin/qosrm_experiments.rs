@@ -10,7 +10,7 @@
 //!                                [--quick] [--shard-size N] [--serial]
 //!                                [--lease-ms MS] [--linger-ms MS]
 //! qosrm-experiments sweep work   --addr HOST:PORT [--worker NAME]
-//!                                [--poll-ms MS] [--shard-delay-ms MS]
+//!                                [--shard-delay-ms MS]
 //! qosrm-experiments sweep search --out DIR [--seed N] [--generations N]
 //!                                [--population N] [--capacity N] [--quick] [--serial]
 //! qosrm-experiments diagnose [--mix b1,b2,b3,b4]
@@ -49,7 +49,7 @@ const USAGE: &str = "usage:
   qosrm-experiments sweep resume --out DIR [--max-shards N] [--serial]
   qosrm-experiments sweep merge --out DIR --result FILE
   qosrm-experiments sweep coordinate --spec FILE --out DIR --addr HOST:PORT [--quick] [--shard-size N] [--serial] [--lease-ms MS] [--linger-ms MS]
-  qosrm-experiments sweep work --addr HOST:PORT [--worker NAME] [--poll-ms MS] [--shard-delay-ms MS]
+  qosrm-experiments sweep work --addr HOST:PORT [--worker NAME] [--shard-delay-ms MS]
   qosrm-experiments sweep search --out DIR [--seed N] [--generations N] [--population N] [--capacity N] [--quick] [--serial]
   qosrm-experiments diagnose [--mix b1,b2,...]";
 
@@ -183,7 +183,6 @@ struct SweepArgs {
     worker: Option<String>,
     lease_ms: Option<u64>,
     linger_ms: Option<u64>,
-    poll_ms: Option<u64>,
     shard_delay_ms: Option<u64>,
     seed: Option<u64>,
     generations: Option<usize>,
@@ -227,9 +226,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
             "--linger-ms" => {
                 parsed.linger_ms = Some(parse_count(iter.next(), "--linger-ms")? as u64);
             }
-            "--poll-ms" => {
-                parsed.poll_ms = Some(parse_count(iter.next(), "--poll-ms")? as u64);
-            }
             "--shard-delay-ms" => {
                 parsed.shard_delay_ms = Some(parse_count(iter.next(), "--shard-delay-ms")? as u64);
             }
@@ -266,10 +262,18 @@ fn stream_options(args: &SweepArgs) -> StreamOptions {
     if let Some(size) = args.shard_size {
         options.shard_size = size.max(1);
     }
-    if args.serial {
-        options.sweep = SweepOptions::serial();
-    }
     options
+}
+
+/// The experiment context of a sweep subcommand: `--serial` selects the
+/// serial, cold reference path.
+fn sweep_context(quick: bool, args: &SweepArgs) -> ExperimentContext {
+    let ctx = ExperimentContext::new(quick);
+    if args.serial {
+        ctx.with_sweep_options(SweepOptions::serial())
+    } else {
+        ctx
+    }
 }
 
 fn report_progress(report: &experiments::StreamReport, out: &std::path::Path) {
@@ -309,7 +313,7 @@ fn sweep_main(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("sweep run requires --spec FILE\n{USAGE}"))?;
             let spec = ScenarioSpec::load(&spec_path)
                 .map_err(|e| format!("failed to load {}: {e}", spec_path.display()))?;
-            let ctx = ExperimentContext::new(parsed.quick);
+            let ctx = sweep_context(parsed.quick, &parsed);
             let report = stream::run(&spec, &ctx, &out, &stream_options(&parsed))
                 .map_err(|e| e.to_string())?;
             report_progress(&report, &out);
@@ -325,7 +329,7 @@ fn sweep_main(args: &[String]) -> Result<(), String> {
             }
             let manifest = experiments::SweepManifest::load(&out)
                 .map_err(|e| format!("failed to load the manifest in {}: {e}", out.display()))?;
-            let ctx = ExperimentContext::new(manifest.quick);
+            let ctx = sweep_context(manifest.quick, &parsed);
             let mut options = stream_options(&parsed);
             // Without an explicit --shard-size, keep the run's checkpoint
             // granularity rather than resetting it to the default.
@@ -375,10 +379,7 @@ fn search_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), String> 
     if let Some(capacity) = parsed.capacity {
         config.capacity = capacity.max(1);
     }
-    let mut ctx = ExperimentContext::new(parsed.quick);
-    if parsed.serial {
-        ctx = ctx.with_sweep_options(SweepOptions::serial());
-    }
+    let ctx = sweep_context(parsed.quick, parsed);
     let report = search::run(&config, &ctx, out).map_err(|e| e.to_string())?;
     println!(
         "search: {} generation(s), {} candidate(s) proposed, {} evaluated ({} scenario runs), \
@@ -460,9 +461,6 @@ fn work_main(parsed: &SweepArgs) -> Result<(), String> {
     let mut config = dist::WorkerConfig::default();
     if let Some(worker) = &parsed.worker {
         config.worker = worker.clone();
-    }
-    if let Some(poll_ms) = parsed.poll_ms {
-        config.poll_ms = poll_ms.max(10);
     }
     if let Some(delay) = parsed.shard_delay_ms {
         config.shard_delay_ms = delay;

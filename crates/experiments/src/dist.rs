@@ -1,37 +1,45 @@
 //! Multi-process distributed sweeps: a coordinator serving shard leases
-//! over the wire protocol of [`qosrm_proto`], and the worker loop that
-//! drains it.
+//! over the wire protocol of [`qosrm_proto`], and the one loop that drains
+//! shard leases everywhere ([`drain`]).
 //!
 //! The [`Coordinator`] is a thin concurrency shell around the durable
 //! [`ShardScheduler`] of [`crate::stream`] — every grant, heartbeat, and
 //! completion lands in the run directory's `manifest.json`, so a SIGKILLed
 //! coordinator can be reopened over the same directory and live workers
 //! simply keep going (their unexpired leases are restored). Workers
-//! evaluate grants with the same `SweepEngine` the
-//! single-process path uses and deliver JSONL outcome logs back over
-//! `POST /shards/{id}/complete`; the scheduler writes them through
-//! `simdb::persist`, so `sweep merge` of a distributed run is
-//! byte-identical to a single-process run of the same spec.
+//! evaluate grants with [`evaluate_points`], the one shard evaluator, and
+//! deliver JSONL outcome logs back over `POST /shards/{id}/complete`; the
+//! scheduler writes them through `simdb::persist`, so `sweep merge` of a
+//! distributed run is byte-identical to a single-process run of the same
+//! spec.
 //!
-//! Three deployment shapes share this module:
+//! Every shard is drained by [`drain`] — lease, evaluate while
+//! heartbeating, complete — over the [`Coordination`] trait. It has three
+//! callers:
 //!
+//! * **local** — `sweep run`/`resume` ([`crate::stream::run`]) drain a
+//!   clock-free [`Coordinator`] over their own directory as the single
+//!   `"local"` worker;
 //! * **offline multi-process** — `sweep coordinate` serves a directory
-//!   ([`serve_coordinator`]), `sweep work` processes drain it
-//!   ([`run_worker`]);
-//! * **daemon** — `qosrm_serve` opens a [`Coordinator`] per run and mounts
-//!   the same endpoints on its own listener, with its in-process workers
-//!   and external `qosrm_worker` processes drawing from one queue;
-//! * **in-process** — benches and tests drive [`Coordination`] directly,
-//!   with explicit clocks and no sockets.
+//!   ([`serve_coordinator`]), and `sweep work` / `qosrm_worker` processes
+//!   drain it over the wire ([`run_worker`]);
+//! * **daemon** — `qosrm_serve` opens a [`Coordinator`] per run, drains it
+//!   from its worker pool and mounts the same endpoints on its own
+//!   listener, so external `qosrm_worker` processes draw from the same
+//!   queue.
+//!
+//! Both servers run on the one front end of [`qosrm_proto::http::serve`].
 
 use crate::context::ExperimentContext;
 use crate::spec::ScenarioSpec;
-use crate::stream::{self, LeaseCounters, ShardScheduler, SweepManifest, MANIFEST_FILE};
+use crate::stream::{
+    self, LeaseCounters, ShardScheduler, StreamReport, SweepManifest, MANIFEST_FILE,
+};
 use crate::sweep::{grid_points, mix_pairs, GridPoint, SweepEngine, SweepOptions};
 use crate::sync::LockUnpoisoned;
 use qosrm_proto::http::{
-    check_proto_version, read_request, write_error, write_json, Request, RequestError, WireError,
-    PROTO_VERSION, PROTO_VERSION_HEADER,
+    self, check_proto_version, write_error, write_json, ExchangeError, HttpServer, Request, Routes,
+    WireError,
 };
 use qosrm_proto::{
     CompleteReply, CompleteRequest, CoordStatus, HeartbeatReply, HeartbeatRequest, LeaseGrant,
@@ -40,12 +48,11 @@ use qosrm_proto::{
 use qosrm_types::QosrmError;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Body bound of coordination requests. Completions carry whole shard logs,
@@ -96,8 +103,9 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// The lease-granting side of a distributed sweep: a [`ShardScheduler`]
-/// over one run directory, shared across connection threads.
+/// The lease-granting side of a sweep: a [`ShardScheduler`] over one run
+/// directory, shared across connection threads, with the lease clock it
+/// reads.
 pub struct Coordinator {
     run: String,
     spec_json: String,
@@ -105,6 +113,9 @@ pub struct Coordinator {
     config: CoordinatorConfig,
     counters: Arc<LeaseCounters>,
     scheduler: Mutex<ShardScheduler>,
+    /// Milliseconds "now": [`unix_ms`] for a served run, a constant 0 for
+    /// the local executor, whose leases never expire.
+    clock: fn() -> u64,
 }
 
 impl Coordinator {
@@ -123,7 +134,6 @@ impl Coordinator {
         config: &CoordinatorConfig,
         counters: Arc<LeaseCounters>,
     ) -> Result<Coordinator, QosrmError> {
-        let spec_json = serde_json::to_string(spec).map_err(|e| QosrmError::Io(e.to_string()))?;
         let mut manifest = if dir.join(MANIFEST_FILE).exists() {
             let manifest = SweepManifest::load(dir)?;
             if manifest.quick != quick {
@@ -134,9 +144,10 @@ impl Coordinator {
                     if quick { "quick" } else { "full" },
                 )));
             }
-            let existing =
-                serde_json::to_string(&manifest.spec).map_err(|e| QosrmError::Io(e.to_string()))?;
-            if existing != spec_json {
+            let to_json = |spec: &ScenarioSpec| {
+                serde_json::to_string(spec).map_err(|e| QosrmError::Io(e.to_string()))
+            };
+            if to_json(&manifest.spec)? != to_json(spec)? {
                 return Err(QosrmError::Io(format!(
                     "run at {} embeds a different spec ({:?}); refusing to mix sweeps \
                      in one directory",
@@ -160,14 +171,47 @@ impl Coordinator {
                 }
             }
         }
+        Self::over(run, manifest, dir, config, counters, false, unix_ms)
+    }
+
+    /// The local executor's coordinator over `dir`: it never reads a clock,
+    /// grants [`stream::LOCAL_LEASE_MS`] leases, and reclaims every lease at
+    /// open (its one worker is the calling thread).
+    pub(crate) fn local(
+        manifest: SweepManifest,
+        dir: &Path,
+        shard_size: usize,
+    ) -> Result<Coordinator, QosrmError> {
+        let config = CoordinatorConfig {
+            shard_size,
+            lease_ms: stream::LOCAL_LEASE_MS,
+            ..Default::default()
+        };
+        let run = manifest.spec.name.clone();
+        let counters = Arc::new(LeaseCounters::default());
+        Self::over(&run, manifest, dir, &config, counters, true, || 0)
+    }
+
+    fn over(
+        run: &str,
+        manifest: SweepManifest,
+        dir: &Path,
+        config: &CoordinatorConfig,
+        counters: Arc<LeaseCounters>,
+        reclaim: bool,
+        clock: fn() -> u64,
+    ) -> Result<Coordinator, QosrmError> {
+        let spec_json =
+            serde_json::to_string(&manifest.spec).map_err(|e| QosrmError::Io(e.to_string()))?;
+        let quick = manifest.quick;
         let scheduler = ShardScheduler::open(
             manifest,
             dir,
             config.shard_size,
             config.lease_ms,
             counters.clone(),
-            false,
-            unix_ms(),
+            reclaim,
+            clock(),
         )?;
         Ok(Coordinator {
             run: run.to_string(),
@@ -176,7 +220,13 @@ impl Coordinator {
             config: config.clone(),
             counters,
             scheduler: Mutex::new(scheduler),
+            clock,
         })
+    }
+
+    /// The local executor's report after `shards_run` completions.
+    pub(crate) fn stream_report(&self, shards_run: usize) -> StreamReport {
+        self.scheduler.lock_unpoisoned().report(shards_run)
     }
 
     /// The run identifier workers echo back on every request.
@@ -224,7 +274,7 @@ impl Coordinator {
     pub fn lease_shard(&self, worker: &str) -> Result<LeaseReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
         let reinjected_before = self.counters.snapshot().reinjected;
-        let lease = scheduler.lease(worker, unix_ms())?;
+        let lease = scheduler.lease(worker, (self.clock)())?;
         let reinjected = self.counters.snapshot().reinjected - reinjected_before;
         if reinjected > 0 {
             self.log(&format!(
@@ -266,8 +316,12 @@ impl Coordinator {
     /// Renews a held lease.
     pub fn renew(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
-        let renewed =
-            scheduler.heartbeat(&request.worker, request.shard, request.epoch, unix_ms())?;
+        let renewed = scheduler.heartbeat(
+            &request.worker,
+            request.shard,
+            request.epoch,
+            (self.clock)(),
+        )?;
         Ok(HeartbeatReply {
             renewed: renewed.is_some(),
             expires_ms: renewed.unwrap_or(0),
@@ -285,7 +339,7 @@ impl Coordinator {
             &request.outcomes_jsonl,
             request.curve_hits,
             request.curve_misses,
-            unix_ms(),
+            (self.clock)(),
         )?;
         if outcome.accepted {
             self.log(&format!(
@@ -387,81 +441,69 @@ pub fn evaluate_points(
     ))
 }
 
-/// Evaluates one grant's points, heartbeating the lease from a side thread
-/// the whole time. Returns the [`CompleteRequest`] payload; a lost lease
-/// does not abort the evaluation — the completion is simply delivered and
-/// resolved (accepted or stale) by epoch at the coordinator.
-pub fn evaluate_grant<C: Coordination + Sync>(
+/// Runs `work` while heartbeating `request`'s lease from a side thread
+/// every third of `lease_ms` (at least every 50 ms). The side thread waits
+/// on a condition variable that the end of `work` wakes, so the helper
+/// returns as soon as `work` does and no heartbeat follows its return.
+/// A panic in `work` is contained and returned as an error.
+fn heartbeating<C: Coordination + Sync, T>(
     coordination: &C,
-    worker: &str,
-    grant: &LeaseGrant,
-    ctx: &ExperimentContext,
-) -> Result<(String, u64, u64), QosrmError> {
-    let spec: ScenarioSpec = serde_json::from_str(&grant.spec_json)
-        .map_err(|e| QosrmError::Io(format!("grant carries an unparsable spec: {e}")))?;
-    let options = SweepOptions {
-        parallel: !grant.serial,
-        ..SweepOptions::default()
-    };
-    let stop = AtomicBool::new(false);
-    let heartbeat = HeartbeatRequest {
-        worker: worker.to_string(),
-        run: grant.run.clone(),
-        shard: grant.shard,
-        epoch: grant.epoch,
-    };
-    let interval = Duration::from_millis((grant.lease_ms / 3).max(50));
+    request: &HeartbeatRequest,
+    lease_ms: u64,
+    work: impl FnOnce() -> T,
+) -> Result<T, QosrmError> {
+    let interval = Duration::from_millis((lease_ms / 3).max(50));
+    let done = Mutex::new(false);
+    let ended = Condvar::new();
     thread::scope(|scope| {
         scope.spawn(|| {
-            let tick = Duration::from_millis(25);
-            let mut elapsed = Duration::ZERO;
-            while !stop.load(Ordering::Relaxed) {
-                thread::sleep(tick);
-                elapsed += tick;
-                if elapsed >= interval {
-                    elapsed = Duration::ZERO;
-                    // Transport hiccups and lost leases are both fine to
-                    // ignore here: the completion is resolved by epoch.
-                    let _ = coordination.heartbeat(&heartbeat);
+            let mut guard = done.lock_unpoisoned();
+            loop {
+                let (next, wait) = ended
+                    .wait_timeout_while(guard, interval, |done| !*done)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                if !wait.timed_out() {
+                    return;
                 }
+                drop(next);
+                // Transport hiccups and lost leases are both fine to ignore
+                // here: the completion is resolved by epoch.
+                let _ = coordination.heartbeat(request);
+                guard = done.lock_unpoisoned();
             }
         });
         // Contain evaluation panics (e.g. an exceeded event budget deep in
-        // the engine): an escaping unwind would skip the stop-flag store
-        // and leave the heartbeat thread spinning forever in the scope's
-        // implicit join, hanging the worker instead of failing the run.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate_points(ctx, &spec, &grant.points, options)
-        }));
-        stop.store(true, Ordering::Relaxed);
-        result.unwrap_or_else(|panic| {
+        // the engine): an escaping unwind would skip the wake-up below and
+        // leave the heartbeat thread waiting in the scope's implicit join,
+        // hanging the worker instead of failing the run.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
+        *done.lock_unpoisoned() = true;
+        ended.notify_one();
+        result.map_err(|panic| {
             let message = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(QosrmError::Io(format!(
-                "shard evaluation panicked: {message}"
-            )))
+            QosrmError::Io(format!("shard evaluation panicked: {message}"))
         })
     })
 }
 
-/// Tuning of a worker process.
+/// Identity and pacing of a worker draining shards ([`drain`]).
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
     /// Worker identity (appears in telemetry and coordinator logs).
     pub worker: String,
     /// Run to draw from; empty means "any run" (daemon mode).
     pub run: String,
-    /// Fallback poll interval when the coordinator grants nothing and
-    /// offers no retry hint.
-    pub poll_ms: u64,
     /// Artificial pause between evaluating a shard and delivering its
-    /// completion (0 in production; the kill-window of the dist smoke).
+    /// completion, with no heartbeat running (0 in production; the
+    /// kill window of the dist smoke, where the victim's lease expires
+    /// while it holds an undelivered shard).
     pub shard_delay_ms: u64,
-    /// Transport-level retries per request before the worker gives up on
-    /// the coordinator.
+    /// Transport-level retries per request before a wire worker gives up
+    /// on the coordinator.
     pub transport_retries: u32,
 }
 
@@ -470,15 +512,13 @@ impl Default for WorkerConfig {
         WorkerConfig {
             worker: format!("worker-{}", std::process::id()),
             run: String::new(),
-            poll_ms: 200,
             shard_delay_ms: 0,
             transport_retries: 25,
         }
     }
 }
 
-/// What a worker accomplished before the coordinator reported the run
-/// finished.
+/// What a [`drain`] accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerReport {
     /// Shard completions accepted.
@@ -490,9 +530,77 @@ pub struct WorkerReport {
     pub scenarios: u64,
 }
 
-/// Runs the worker loop against the coordinator at `addr` until the run
-/// finishes, building one [`ExperimentContext`] per database mode on
-/// demand.
+/// The shard-drain loop: until `stop` says so or the coordinator reports
+/// the run finished, lease a shard, evaluate it with [`evaluate_points`]
+/// (on the context `ctx_for(quick)` returns) while heartbeating its lease,
+/// pause `shard_delay_ms`, and deliver the completion. With nothing to
+/// lease right now it waits the reply's `retry_ms` (at least 10 ms).
+///
+/// `stop` is asked before every lease with the tally so far. A lost lease
+/// does not abort an evaluation — the completion is delivered and resolved
+/// (accepted or stale) by epoch at the coordinator. Errors — a failed lease
+/// or completion, a shard that fails to evaluate — end the loop.
+pub fn drain<C, X>(
+    coordination: &C,
+    config: &WorkerConfig,
+    ctx_for: &mut dyn FnMut(bool) -> X,
+    stop: &mut dyn FnMut(&WorkerReport) -> bool,
+) -> Result<WorkerReport, QosrmError>
+where
+    C: Coordination + Sync,
+    X: Deref<Target = ExperimentContext>,
+{
+    let mut report = WorkerReport::default();
+    while !stop(&report) {
+        let reply = coordination.lease(&config.worker, &config.run)?;
+        let Some(grant) = reply.grant else {
+            if reply.finished {
+                break;
+            }
+            thread::sleep(Duration::from_millis(reply.retry_ms.max(10)));
+            continue;
+        };
+        let ctx = ctx_for(grant.quick);
+        let spec: ScenarioSpec = serde_json::from_str(&grant.spec_json)
+            .map_err(|e| QosrmError::Io(format!("grant carries an unparsable spec: {e}")))?;
+        let options = SweepOptions {
+            parallel: ctx.sweep.parallel && !grant.serial,
+            ..ctx.sweep
+        };
+        let heartbeat = HeartbeatRequest {
+            worker: config.worker.clone(),
+            run: grant.run.clone(),
+            shard: grant.shard,
+            epoch: grant.epoch,
+        };
+        let (outcomes_jsonl, curve_hits, curve_misses) =
+            heartbeating(coordination, &heartbeat, grant.lease_ms, || {
+                evaluate_points(&ctx, &spec, &grant.points, options)
+            })??;
+        if config.shard_delay_ms > 0 {
+            thread::sleep(Duration::from_millis(config.shard_delay_ms));
+        }
+        let delivered = coordination.complete(&CompleteRequest {
+            worker: heartbeat.worker,
+            run: heartbeat.run,
+            shard: grant.shard,
+            epoch: grant.epoch,
+            outcomes_jsonl,
+            curve_hits,
+            curve_misses,
+        })?;
+        report.scenarios += grant.points.len() as u64;
+        if delivered.accepted {
+            report.shards_completed += 1;
+        } else {
+            report.shards_stale += 1;
+        }
+    }
+    Ok(report)
+}
+
+/// Drains the coordinator at `addr` over the wire until the run finishes,
+/// building one [`ExperimentContext`] per database mode on demand.
 pub fn run_worker(addr: &str, config: &WorkerConfig) -> Result<WorkerReport, QosrmError> {
     let mut contexts: HashMap<bool, Arc<ExperimentContext>> = HashMap::new();
     run_worker_with(addr, config, &mut |quick| {
@@ -511,43 +619,7 @@ pub fn run_worker_with(
     ctx_for: &mut dyn FnMut(bool) -> Arc<ExperimentContext>,
 ) -> Result<WorkerReport, QosrmError> {
     let client = WorkerClient::new(addr, config.transport_retries);
-    let mut report = WorkerReport::default();
-    loop {
-        let reply = client.lease(&config.worker, &config.run)?;
-        let Some(grant) = reply.grant else {
-            if reply.finished {
-                return Ok(report);
-            }
-            let wait = if reply.retry_ms > 0 {
-                reply.retry_ms
-            } else {
-                config.poll_ms
-            };
-            thread::sleep(Duration::from_millis(wait.max(10)));
-            continue;
-        };
-        let ctx = ctx_for(grant.quick);
-        let (outcomes_jsonl, curve_hits, curve_misses) =
-            evaluate_grant(&client, &config.worker, &grant, &ctx)?;
-        if config.shard_delay_ms > 0 {
-            thread::sleep(Duration::from_millis(config.shard_delay_ms));
-        }
-        let delivered = client.complete(&CompleteRequest {
-            worker: config.worker.clone(),
-            run: grant.run.clone(),
-            shard: grant.shard,
-            epoch: grant.epoch,
-            outcomes_jsonl,
-            curve_hits,
-            curve_misses,
-        })?;
-        report.scenarios += grant.points.len() as u64;
-        if delivered.accepted {
-            report.shards_completed += 1;
-        } else {
-            report.shards_stale += 1;
-        }
-    }
+    drain(&client, config, ctx_for, &mut |_| false)
 }
 
 /// Blocking wire client of the coordination endpoints. Transport errors
@@ -590,27 +662,37 @@ impl WorkerClient {
         path: &str,
         payload: String,
     ) -> Result<R, QosrmError> {
+        let headers = [("content-type", "application/json")];
         let mut last_error = String::new();
         for attempt in 0..self.transport_retries.max(1) {
             if attempt > 0 {
                 thread::sleep(Duration::from_millis(200));
             }
-            match self.exchange(method, path, &payload) {
-                Ok((status, text)) if status < 400 => {
-                    return serde_json::from_str(&text).map_err(|e| {
-                        QosrmError::Io(format!("unparsable coordinator reply on {path}: {e}"))
-                    });
-                }
-                Ok((status, text)) => {
+            let addr = self.addr.as_str();
+            match http::exchange(
+                addr,
+                self.timeout,
+                method,
+                path,
+                &headers,
+                payload.as_bytes(),
+            ) {
+                Ok((status, body)) => {
+                    let text = String::from_utf8_lossy(&body);
+                    if status < 400 {
+                        return serde_json::from_str(&text).map_err(|e| {
+                            QosrmError::Io(format!("unparsable coordinator reply on {path}: {e}"))
+                        });
+                    }
                     // Typed rejection: not a transport problem, do not retry.
                     let detail = serde_json::from_str::<WireError>(&text)
                         .map(|e| format!("{}: {}", e.error.kind, e.error.message))
-                        .unwrap_or(text);
+                        .unwrap_or_else(|_| text.into_owned());
                     return Err(QosrmError::Io(format!(
                         "coordinator rejected {method} {path} ({status}): {detail}"
                     )));
                 }
-                Err(e) => last_error = e,
+                Err(ExchangeError::Transport(e) | ExchangeError::Protocol(e)) => last_error = e,
             }
         }
         Err(QosrmError::Io(format!(
@@ -618,39 +700,6 @@ impl WorkerClient {
             self.addr,
             self.transport_retries.max(1)
         )))
-    }
-
-    fn exchange(&self, method: &str, path: &str, payload: &str) -> Result<(u16, String), String> {
-        let stream = TcpStream::connect(&self.addr).map_err(|e| e.to_string())?;
-        stream.set_read_timeout(Some(self.timeout)).ok();
-        stream.set_write_timeout(Some(self.timeout)).ok();
-        let mut stream = stream;
-        let head = format!(
-            "{method} {path} HTTP/1.0\r\nHost: qosrm\r\n{PROTO_VERSION_HEADER}: {PROTO_VERSION}\r\n\
-             Content-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            payload.len()
-        );
-        stream
-            .write_all(head.as_bytes())
-            .map_err(|e| e.to_string())?;
-        stream
-            .write_all(payload.as_bytes())
-            .map_err(|e| e.to_string())?;
-        stream.flush().map_err(|e| e.to_string())?;
-        stream.shutdown(std::net::Shutdown::Write).ok();
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).map_err(|e| e.to_string())?;
-        let text = String::from_utf8_lossy(&raw);
-        let (head, body) = text
-            .split_once("\r\n\r\n")
-            .ok_or_else(|| "response has no header/body separator".to_string())?;
-        let status = head
-            .lines()
-            .next()
-            .and_then(|line| line.split_whitespace().nth(1))
-            .and_then(|code| code.parse::<u16>().ok())
-            .ok_or_else(|| format!("unparsable status line in {head:?}"))?;
-        Ok((status, body.to_string()))
     }
 }
 
@@ -679,34 +728,9 @@ impl Coordination for WorkerClient {
     }
 }
 
-/// A running coordinator listener (see [`serve_coordinator`]).
-pub struct CoordinatorServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl CoordinatorServer {
-    /// The bound address (useful with an ephemeral port 0 bind).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the listener thread. Connection threads
-    /// finish their in-flight request.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Mounts `coordinator` on a listener at `addr` (`host:port`, port 0 for
 /// ephemeral) and serves the coordination endpoints until
-/// [`CoordinatorServer::stop`]:
+/// [`HttpServer::stop`]:
 ///
 /// | Request | Body | Meaning |
 /// |---|---|---|
@@ -718,78 +742,50 @@ impl CoordinatorServer {
 ///
 /// Every `POST` requires the [`PROTO_VERSION_HEADER`] header; a missing or
 /// mismatched version is answered with a typed `ProtocolMismatch` error.
+///
+/// [`PROTO_VERSION_HEADER`]: qosrm_proto::PROTO_VERSION_HEADER
 pub fn serve_coordinator(
     addr: &str,
     coordinator: Arc<Coordinator>,
-) -> Result<CoordinatorServer, QosrmError> {
+) -> Result<HttpServer, QosrmError> {
     let listener = TcpListener::bind(addr)
         .map_err(|e| QosrmError::Io(format!("cannot bind coordinator listener at {addr}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| QosrmError::Io(e.to_string()))?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let accept_shutdown = shutdown.clone();
-    let handle = thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let coordinator = coordinator.clone();
-            thread::spawn(move || {
-                let mut stream = stream;
-                handle_coordination_connection(&mut stream, &coordinator);
-            });
-        }
-    });
-    Ok(CoordinatorServer {
-        addr: local,
-        shutdown,
-        handle: Some(handle),
-    })
+    http::serve(listener, Arc::new(CoordinatorRoutes(coordinator)))
+        .map_err(|e| QosrmError::Io(e.to_string()))
 }
 
-fn handle_coordination_connection(stream: &mut TcpStream, coordinator: &Arc<Coordinator>) {
-    let request = match read_request(stream, MAX_COMPLETE_BYTES) {
-        Ok(request) => request,
-        Err(RequestError::Closed) => return,
-        Err(RequestError::TooLarge { limit }) => {
-            let _ = write_error(
-                stream,
-                413,
-                "Payload Too Large",
-                &WireError::new(
-                    "PayloadTooLarge",
-                    format!("request exceeds the {limit}-byte bound"),
-                ),
-            );
-            return;
-        }
-        Err(RequestError::Malformed(detail)) => {
-            let _ = write_error(
-                stream,
-                400,
-                "Bad Request",
-                &WireError::new("MalformedRequest", detail),
-            );
-            return;
-        }
-    };
-    let resolve = |run: &str| {
-        if run.is_empty() || run == coordinator.run() {
-            Resolution::Coordinated(coordinator.clone())
-        } else {
-            Resolution::Unknown
-        }
-    };
-    if let Ok(false) = respond_coordination(stream, &request, &resolve) {
-        let _ = write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("NotFound", format!("no such endpoint: {}", request.path)),
-        );
+/// The standalone coordinator's routes: the coordination endpoints of its
+/// one run.
+struct CoordinatorRoutes(Arc<Coordinator>);
+
+impl Routes for CoordinatorRoutes {
+    fn body_limit(&self, _method: &str, _path: &str) -> usize {
+        MAX_COMPLETE_BYTES
     }
+
+    fn respond(&self, stream: &mut TcpStream, request: &Request) {
+        let resolve = |run: &str| {
+            if run.is_empty() || run == self.0.run() {
+                Resolution::Coordinated(self.0.clone())
+            } else {
+                Resolution::Unknown
+            }
+        };
+        let _ = respond_coordination(stream, request, &resolve);
+    }
+}
+
+/// Whether `method path` names a coordination endpoint that carries a body
+/// (`POST /lease`, `/heartbeat`, `/shards/{id}/complete`). An embedding
+/// server bounds those bodies by [`MAX_COMPLETE_BYTES`]: completions carry
+/// whole shard logs.
+pub fn is_coordination_post(method: &str, path: &str) -> bool {
+    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+    method == "POST"
+        && matches!(
+            segments.as_slice(),
+            ["lease"] | ["heartbeat"] | ["shards", _, "complete"]
+        )
 }
 
 /// What a run id a coordination request names resolves to.
@@ -811,9 +807,9 @@ pub enum Resolution {
     Unknown,
 }
 
-/// Routes one parsed coordination request, returning `Ok(false)` when the
-/// request matched none of the coordination endpoints (so an embedding
-/// dispatcher — the daemon — can fall through to its own routes or a 404).
+/// Answers one coordination request, and any request that matches no
+/// coordination endpoint with a typed 404 (an embedding server — the daemon
+/// — tries its own routes first).
 ///
 /// `resolve` maps the run id a request names to a [`Resolution`]; the
 /// empty string means "any run with pending work". Uncoordinated
@@ -827,16 +823,13 @@ pub fn respond_coordination(
     stream: &mut TcpStream,
     request: &Request,
     resolve: &dyn Fn(&str) -> Resolution,
-) -> std::io::Result<bool> {
+) -> std::io::Result<()> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["lease"]) => {
-            if let Err(error) = check_proto_version(request) {
-                return write_error(stream, 400, "Bad Request", &error).map(|_| true);
-            }
-            let body: LeaseRequest = match parse_body(&request.body) {
+            let body: LeaseRequest = match parse_body(request) {
                 Ok(body) => body,
-                Err(error) => return write_error(stream, 400, "Bad Request", &error).map(|_| true),
+                Err(error) => return write_error(stream, 400, "Bad Request", &error),
             };
             let idle = |finished: bool| LeaseReply {
                 grant: None,
@@ -845,13 +838,11 @@ pub fn respond_coordination(
             };
             match resolve(&body.run) {
                 Resolution::Coordinated(coordinator) => {
-                    reply_json(stream, coordinator.lease_shard(&body.worker)).map(|_| true)
+                    reply_json(stream, coordinator.lease_shard(&body.worker))
                 }
-                Resolution::Pending => reply_json(stream, Ok(idle(false))).map(|_| true),
-                Resolution::Finished => reply_json(stream, Ok(idle(true))).map(|_| true),
-                Resolution::Unknown if body.run.is_empty() => {
-                    reply_json(stream, Ok(idle(false))).map(|_| true)
-                }
+                Resolution::Pending => reply_json(stream, Ok(idle(false))),
+                Resolution::Finished => reply_json(stream, Ok(idle(true))),
+                Resolution::Unknown if body.run.is_empty() => reply_json(stream, Ok(idle(false))),
                 Resolution::Unknown => write_error(
                     stream,
                     404,
@@ -860,21 +851,17 @@ pub fn respond_coordination(
                         "RunNotFound",
                         format!("no coordinated run {:?} here", body.run),
                     ),
-                )
-                .map(|_| true),
+                ),
             }
         }
         ("POST", ["heartbeat"]) => {
-            if let Err(error) = check_proto_version(request) {
-                return write_error(stream, 400, "Bad Request", &error).map(|_| true);
-            }
-            let body: HeartbeatRequest = match parse_body(&request.body) {
+            let body: HeartbeatRequest = match parse_body(request) {
                 Ok(body) => body,
-                Err(error) => return write_error(stream, 400, "Bad Request", &error).map(|_| true),
+                Err(error) => return write_error(stream, 400, "Bad Request", &error),
             };
             match resolve(&body.run) {
                 Resolution::Coordinated(coordinator) => {
-                    reply_json(stream, coordinator.renew(&body)).map(|_| true)
+                    reply_json(stream, coordinator.renew(&body))
                 }
                 _ => reply_json(
                     stream,
@@ -882,33 +869,23 @@ pub fn respond_coordination(
                         renewed: false,
                         expires_ms: 0,
                     }),
-                )
-                .map(|_| true),
+                ),
             }
         }
         ("POST", ["shards", shard, "complete"]) => {
-            if let Err(error) = check_proto_version(request) {
-                return write_error(stream, 400, "Bad Request", &error).map(|_| true);
-            }
-            let body: CompleteRequest = match parse_body(&request.body) {
+            let body = match parse_body::<CompleteRequest>(request) {
+                Ok(body) if shard.parse::<u64>() != Ok(body.shard) => {
+                    let detail =
+                        format!("path names shard {shard} but the body names {}", body.shard);
+                    let error = WireError::new("MalformedRequest", detail);
+                    return write_error(stream, 400, "Bad Request", &error);
+                }
                 Ok(body) => body,
-                Err(error) => return write_error(stream, 400, "Bad Request", &error).map(|_| true),
+                Err(error) => return write_error(stream, 400, "Bad Request", &error),
             };
-            if shard.parse::<u64>() != Ok(body.shard) {
-                return write_error(
-                    stream,
-                    400,
-                    "Bad Request",
-                    &WireError::new(
-                        "MalformedRequest",
-                        format!("path names shard {shard} but the body names {}", body.shard),
-                    ),
-                )
-                .map(|_| true);
-            }
             match resolve(&body.run) {
                 Resolution::Coordinated(coordinator) => {
-                    reply_json(stream, coordinator.deliver(&body)).map(|_| true)
+                    reply_json(stream, coordinator.deliver(&body))
                 }
                 _ => reply_json(
                     stream,
@@ -917,29 +894,33 @@ pub fn respond_coordination(
                         stale: true,
                         finished: true,
                     }),
-                )
-                .map(|_| true),
+                ),
             }
         }
         ("GET", ["status"]) => match resolve("") {
-            Resolution::Coordinated(coordinator) => {
-                reply_json(stream, Ok(coordinator.status())).map(|_| true)
-            }
+            Resolution::Coordinated(coordinator) => reply_json(stream, Ok(coordinator.status())),
             _ => write_error(
                 stream,
                 404,
                 "Not Found",
                 &WireError::new("RunNotFound", "no coordinated run is active"),
-            )
-            .map(|_| true),
+            ),
         },
-        ("GET", ["healthz"]) => write_json(stream, 200, "OK", "{\"ok\":true}").map(|_| true),
-        _ => Ok(false),
+        ("GET", ["healthz"]) => write_json(stream, 200, "OK", "{\"ok\":true}"),
+        _ => write_error(
+            stream,
+            404,
+            "Not Found",
+            &WireError::new("NotFound", format!("no such endpoint: {}", request.path)),
+        ),
     }
 }
 
-fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, WireError> {
-    let text = std::str::from_utf8(body)
+/// Parses a coordination `POST` body, after checking its
+/// protocol-version header.
+fn parse_body<T: serde::Deserialize>(request: &Request) -> Result<T, WireError> {
+    check_proto_version(request)?;
+    let text = std::str::from_utf8(&request.body)
         .map_err(|_| WireError::new("MalformedRequest", "body is not UTF-8"))?;
     serde_json::from_str(text)
         .map_err(|e| WireError::new("MalformedRequest", format!("unparsable body: {e}")))
@@ -969,7 +950,10 @@ mod tests {
     use crate::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
     use crate::sweep::{QosAxis, RmaVariant};
     use qosrm_types::QosSpec;
+    use std::io::{Read, Write};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
     use workload::{MixPopulation, SynthSpec};
 
     fn tiny_spec() -> ScenarioSpec {
@@ -1085,5 +1069,91 @@ mod tests {
         let merged = stream::merge(&dir).unwrap();
         assert_eq!(merged.scenarios.len(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A [`Coordination`] double that renews every heartbeat and reports
+    /// each one on a channel.
+    struct Recorder {
+        beats: AtomicU64,
+        sent: Mutex<mpsc::Sender<u64>>,
+    }
+
+    impl Coordination for Recorder {
+        fn lease(&self, _worker: &str, _run: &str) -> Result<LeaseReply, QosrmError> {
+            unreachable!("the heartbeat never leases")
+        }
+
+        fn heartbeat(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError> {
+            let beat = self.beats.fetch_add(1, Ordering::SeqCst) + 1;
+            let _ = self.sent.lock_unpoisoned().send(request.epoch);
+            Ok(HeartbeatReply {
+                renewed: true,
+                expires_ms: beat,
+            })
+        }
+
+        fn complete(&self, _request: &CompleteRequest) -> Result<CompleteReply, QosrmError> {
+            unreachable!("the heartbeat never completes")
+        }
+    }
+
+    fn recorder() -> (Recorder, mpsc::Receiver<u64>) {
+        let (sent, received) = mpsc::channel();
+        let recorder = Recorder {
+            beats: AtomicU64::new(0),
+            sent: Mutex::new(sent),
+        };
+        (recorder, received)
+    }
+
+    fn heartbeat_request() -> HeartbeatRequest {
+        HeartbeatRequest {
+            worker: "w".to_string(),
+            run: "r".to_string(),
+            shard: 3,
+            epoch: 7,
+        }
+    }
+
+    #[test]
+    fn the_heartbeat_renews_the_lease_while_work_runs_and_stops_with_it() {
+        let (double, beats) = recorder();
+        // A 150 ms lease heartbeats every 50 ms. The work blocks until the
+        // double has seen a renewal, so at least one lands mid-work.
+        let result = heartbeating(&double, &heartbeat_request(), 150, || {
+            beats
+                .recv()
+                .expect("a heartbeat arrives while the work runs")
+        });
+        assert_eq!(result.unwrap(), 7, "the work saw the shard's epoch renewed");
+        let at_return = double.beats.load(Ordering::SeqCst);
+        assert!(at_return >= 1, "at least one renewal during the work");
+        // Dropping the double drops the only sender: every heartbeat ever
+        // sent is now in the channel, and none followed the return.
+        drop(double);
+        let after_return = beats.try_iter().count() as u64;
+        assert_eq!(
+            1 + after_return,
+            at_return,
+            "no heartbeat may follow the helper's return"
+        );
+    }
+
+    #[test]
+    fn the_heartbeat_ends_with_the_work_even_on_an_unbounded_lease() {
+        // The local executor's lease: the side thread's wait must neither
+        // overflow nor be waited out when the work ends at once.
+        let (double, beats) = recorder();
+        let result = heartbeating(&double, &heartbeat_request(), stream::LOCAL_LEASE_MS, || 5);
+        assert_eq!(result.unwrap(), 5);
+        drop(double);
+        assert_eq!(beats.try_iter().count(), 0);
+        // A panicking work item is contained and reported.
+        let (double, _beats) = recorder();
+        let panicked = heartbeating(&double, &heartbeat_request(), 150, || -> u8 {
+            panic!("event budget exceeded")
+        });
+        let error = panicked.unwrap_err().to_string();
+        assert!(error.contains("panicked: event budget exceeded"), "{error}");
     }
 }

@@ -42,7 +42,7 @@ pub mod sweep;
 pub mod sync;
 
 pub use context::{ExperimentContext, RmaTelemetry};
-pub use dist::{Coordinator, CoordinatorConfig, CoordinatorServer, Resolution, WorkerConfig};
+pub use dist::{Coordinator, CoordinatorConfig, Resolution, WorkerConfig};
 pub use report::{ExperimentReport, ReportRow};
 pub use search::{
     FitnessVector, Genome, NashSide, SearchConfig, SearchManifest, SearchReport, StrengthScore,

@@ -41,21 +41,21 @@
 //! accepted only if it names the currently active epoch, so when a lease
 //! expires and the shard is reinjected, a presumed-dead worker finishing
 //! late is rejected as *stale* and exactly one shard log ever wins. The
-//! single-process [`run`]/[`resume`] path is the degenerate case — one
-//! `"local"` worker leasing from its own scheduler — so the multi-process
-//! coordinator ([`crate::dist`]) shares every line of the checkpoint and
-//! recovery logic with the path the tests already pin down.
+//! single-process [`run`]/[`resume`] path is the degenerate case of the one
+//! drain loop ([`crate::dist::drain`]): one `"local"` worker draining a
+//! clock-free [`crate::dist::Coordinator`] over its own scheduler — so the
+//! multi-process coordinator shares every line of the checkpoint,
+//! recovery, grant and shard-evaluation logic with the path the tests
+//! already pin down.
 //!
 //! The unit of work on disk is the [`ScenarioSpec`] IR: the manifest embeds
 //! the spec (plus the quick/full database mode), so a run directory is
 //! self-describing — `resume` and `merge` need nothing but the directory.
 
 use crate::context::ExperimentContext;
+use crate::dist::{self, Coordinator, WorkerConfig};
 use crate::spec::ScenarioSpec;
-use crate::sweep::{
-    grid_points, mix_pairs, scenario_key, GridPoint, ScenarioKey, ScenarioOutcome, SweepEngine,
-    SweepOptions, SweepResult,
-};
+use crate::sweep::{grid_points, scenario_key, ScenarioKey, ScenarioOutcome, SweepResult};
 use crate::sync::LockUnpoisoned;
 use qosrm_proto::LeaseTelemetry;
 use qosrm_types::QosrmError;
@@ -66,8 +66,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Execution knobs of a streaming sweep. Like [`SweepOptions`], none of
-/// them affect results — only how the work is chunked and executed.
+/// Chunking knobs of a streaming sweep. Like the context's
+/// [`SweepOptions`](crate::sweep::SweepOptions) (which choose how each
+/// shard is evaluated), none of them affect results.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamOptions {
     /// Scenarios per shard (bounds resident outcomes and checkpoint
@@ -79,8 +80,6 @@ pub struct StreamOptions {
     /// Used by tests and smoke runs to exercise partial progress
     /// deterministically.
     pub max_shards: usize,
-    /// Execution switches shared with the in-memory path.
-    pub sweep: SweepOptions,
 }
 
 impl Default for StreamOptions {
@@ -88,7 +87,6 @@ impl Default for StreamOptions {
         StreamOptions {
             shard_size: 32,
             max_shards: 0,
-            sweep: SweepOptions::default(),
         }
     }
 }
@@ -747,67 +745,29 @@ impl ShardScheduler {
 /// Lease duration of the synchronous local executor: effectively infinite,
 /// safe because every scheduler `open` reclaims [`LOCAL_WORKER`] leases
 /// unconditionally.
-const LOCAL_LEASE_MS: u64 = u64::MAX / 4;
+pub(crate) const LOCAL_LEASE_MS: u64 = u64::MAX / 4;
 
-/// Executes the scenarios of `manifest` that have no outcome on disk yet,
-/// as the degenerate single-worker case of the lease scheduler.
+/// Executes the scenarios of `manifest` that have no outcome on disk yet:
+/// the drain loop ([`dist::drain`]) as the single [`LOCAL_WORKER`] of a
+/// clock-free coordinator over `dir`. With every lease reclaimed at open
+/// and each shard completed before the next lease, "nothing to lease"
+/// means finished, so the loop never waits.
 fn run_pending(
     manifest: SweepManifest,
     ctx: &ExperimentContext,
     dir: &Path,
     options: &StreamOptions,
 ) -> Result<StreamReport, QosrmError> {
-    let counters = Arc::new(LeaseCounters::default());
-    let mut scheduler = ShardScheduler::open(
-        manifest,
-        dir,
-        options.shard_size,
-        LOCAL_LEASE_MS,
-        counters,
-        true, // the only worker is this call stack — reclaim everything
-        0,
-    )?;
-    let grid = scheduler.manifest().spec.lower()?;
-    let points = grid_points(&grid);
-    let engine = SweepEngine::new(&grid, ctx, options.sweep);
-    let mut shards_run = 0usize;
-    while options.max_shards == 0 || shards_run < options.max_shards {
-        let Some(lease) = scheduler.lease(LOCAL_WORKER, 0)? else {
-            break;
-        };
-        // Per-shard simulators and baselines: built here, dropped at the
-        // end of the shard, so resident state is bounded by the shard size.
-        let chunk: Vec<GridPoint> = lease
-            .points
-            .iter()
-            .map(|&idx| points[idx as usize])
-            .collect();
-        let units = engine.build_units(&mix_pairs(&chunk));
-        let cache = ctx.curve_cache();
-        let (hits_before, misses_before) = (cache.hits(), cache.misses());
-        let outcomes = engine.evaluate_all(&units, &chunk);
-        drop(units);
-
-        let mut log = String::new();
-        for outcome in &outcomes {
-            log.push_str(
-                &serde_json::to_string(outcome).map_err(|e| QosrmError::Io(e.to_string()))?,
-            );
-            log.push('\n');
-        }
-        let sealed = scheduler.complete(
-            LOCAL_WORKER,
-            lease.shard,
-            lease.epoch,
-            &log,
-            cache.hits() - hits_before,
-            cache.misses() - misses_before,
-            0,
-        )?;
-        debug_assert!(sealed.accepted, "the local worker's lease cannot expire");
-        shards_run += 1;
-    }
-    Ok(scheduler.report(shards_run))
+    let coordinator = Coordinator::local(manifest, dir, options.shard_size)?;
+    let local = WorkerConfig {
+        worker: LOCAL_WORKER.to_string(),
+        ..Default::default()
+    };
+    let max_shards = options.max_shards as u64;
+    let drained = dist::drain(&coordinator, &local, &mut |_| ctx, &mut |report| {
+        max_shards > 0 && report.shards_completed >= max_shards
+    })?;
+    Ok(coordinator.stream_report(drained.shards_completed as usize))
 }
 
 /// The shard log files of a run directory, sorted by shard index.
@@ -883,7 +843,7 @@ fn scan_shards(dir: &Path, mut visit: impl FnMut(&str, ScenarioOutcome)) -> Resu
 mod tests {
     use super::*;
     use crate::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
-    use crate::sweep::{QosAxis, RmaVariant};
+    use crate::sweep::{QosAxis, RmaVariant, SweepOptions};
     use qosrm_types::QosSpec;
     use workload::{MixPopulation, SynthSpec};
 
@@ -938,7 +898,6 @@ mod tests {
         let partial = StreamOptions {
             shard_size: 1,
             max_shards: 2,
-            ..Default::default()
         };
         let report = run(&spec, &ctx, &dir, &partial).unwrap();
         assert_eq!(report.total, 3);
@@ -966,6 +925,39 @@ mod tests {
         let merged = merge(&dir).unwrap();
         assert_eq!(merged.scenarios.len(), 3);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_contexts_sweep_options_choose_between_the_cold_and_delta_paths() {
+        // `sweep run --serial` hands `run` a serial context: every shard
+        // must take the cold path (no delta invocations, no curve-cache
+        // lookups), the default context the delta path, and both merges
+        // must be byte-identical.
+        let options = StreamOptions {
+            shard_size: 2,
+            ..Default::default()
+        };
+        let cold = ExperimentContext::new(true).with_sweep_options(SweepOptions::serial());
+        let delta = ExperimentContext::new(true);
+        let mut merged = Vec::new();
+        for (tag, ctx) in [("cold", &cold), ("delta", &delta)] {
+            let dir = temp_dir(tag);
+            assert!(run(&tiny_spec(), ctx, &dir, &options).unwrap().finished);
+            merged.push(serde_json::to_string(&merge(&dir).unwrap()).unwrap());
+            fs::remove_dir_all(&dir).ok();
+        }
+        let lookups =
+            |ctx: &ExperimentContext| ctx.curve_cache().hits() + ctx.curve_cache().misses();
+        let (cold_rma, delta_rma) = (
+            cold.rma_telemetry().snapshot(),
+            delta.rma_telemetry().snapshot(),
+        );
+        assert!(cold_rma.invocations > 0);
+        assert_eq!(cold_rma.delta_invocations, 0, "{cold_rma:?}");
+        assert_eq!(lookups(&cold), 0, "the cold path is unmemoized");
+        assert!(delta_rma.delta_invocations > 0, "{delta_rma:?}");
+        assert!(lookups(&delta) > 0, "the default path is memoized");
+        assert_eq!(merged[0], merged[1], "both paths merge byte-identically");
     }
 
     #[test]

@@ -16,9 +16,18 @@
 //! ```
 //!
 //! Anything else — a torn head, a missing version, a body longer than the
-//! configured payload limit — yields a typed [`RequestError`], which the
-//! server maps to a JSON error response (see [`WireError`]) rather than a
+//! route's payload limit — yields a typed [`RequestError`], which the front
+//! end maps to a JSON error response (see [`WireError`]) rather than a
 //! hangup, so clients always learn *why* they were refused.
+//!
+//! ## One front end, one client exchange
+//!
+//! [`serve`] is the accept loop of every server in the workspace: the
+//! daemon and `sweep coordinate` each hand it a bound listener and their
+//! [`Routes`], and it owns everything below routing — a thread per
+//! connection, the read timeout, the per-route body bound, the typed
+//! replies to unreadable requests and the drain before close. [`exchange`]
+//! is the matching client side: one request, one response, per connection.
 //!
 //! ## Protocol versioning
 //!
@@ -33,7 +42,11 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 /// Upper bound on the request head (request line + headers). Large requests
 /// put their payload in the body, never the head.
@@ -117,9 +130,13 @@ pub enum RequestError {
     Closed,
 }
 
-/// Reads one request from `stream`. `max_body` bounds the accepted
-/// `Content-Length`; the head is bounded by [`MAX_HEAD_BYTES`].
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, RequestError> {
+/// Reads one request from `stream`. The head is bounded by
+/// [`MAX_HEAD_BYTES`]; once it is read, `body_limit(method, path)` bounds
+/// the accepted `Content-Length`.
+pub fn read_request(
+    stream: &mut TcpStream,
+    body_limit: &dyn Fn(&str, &str) -> usize,
+) -> Result<Request, RequestError> {
     // Read the head byte-wise-ish (buffered in chunks) until CRLFCRLF.
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
@@ -187,6 +204,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
             .map_err(|_| RequestError::Malformed(format!("unparsable Content-Length {raw:?}")))?,
         None => 0,
     };
+    let max_body = body_limit(&method, &path);
     if content_length > max_body {
         return Err(RequestError::TooLarge { limit: max_body });
     }
@@ -354,6 +372,162 @@ pub fn write_stream_head(stream: &mut TcpStream, content_type: &str) -> std::io:
         format!("HTTP/1.0 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n");
     stream.write_all(head.as_bytes())?;
     stream.flush()
+}
+
+/// How long a connection may stay silent before its request is abandoned.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// What one server mounts on the shared front end ([`serve`]).
+pub trait Routes: Send + Sync + 'static {
+    /// The body bound of a request, chosen once its head is read.
+    fn body_limit(&self, method: &str, path: &str) -> usize;
+    /// Answers one request (unmatched routes included: the implementor
+    /// picks its own 404).
+    fn respond(&self, stream: &mut TcpStream, request: &Request);
+    /// Observes the status (413 or 400) of a request the front end refused
+    /// as unreadable, just before the typed reply goes out.
+    fn refused(&self, _status: u16) {}
+}
+
+/// A running front end (see [`serve`]).
+pub struct HttpServer {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    accept: JoinHandle<()>,
+}
+
+impl HttpServer {
+    /// The bound address (with the resolved port when `:0` was requested).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting and joins the accept thread. Connection threads
+    /// finish their in-flight request.
+    pub fn stop(self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        let _ = self.accept.join();
+    }
+}
+
+/// Serves `routes` on an already-bound `listener` until
+/// [`HttpServer::stop`], one thread per connection.
+pub fn serve<R: Routes>(listener: TcpListener, routes: Arc<R>) -> std::io::Result<HttpServer> {
+    let addr = listener.local_addr()?;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let stopping = shutdown.clone();
+    let accept = thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stopping.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let routes = routes.clone();
+            thread::spawn(move || handle_connection(stream, &*routes));
+        }
+    });
+    Ok(HttpServer {
+        addr,
+        shutdown,
+        accept,
+    })
+}
+
+fn handle_connection<R: Routes>(mut stream: TcpStream, routes: &R) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let (status, reason, reply) =
+        match read_request(&mut stream, &|method, path| routes.body_limit(method, path)) {
+            Ok(request) => return routes.respond(&mut stream, &request),
+            Err(RequestError::Closed) => return,
+            Err(RequestError::TooLarge { limit }) => (
+                413,
+                "Payload Too Large",
+                WireError::new(
+                    "PayloadTooLarge",
+                    format!("request exceeds the {limit}-byte limit"),
+                ),
+            ),
+            Err(RequestError::Malformed(detail)) => (
+                400,
+                "Bad Request",
+                WireError::new("MalformedRequest", detail),
+            ),
+        };
+    routes.refused(status);
+    let _ = write_error(&mut stream, status, reason, &reply);
+    // Drain what the peer is still sending (bounded) before the socket
+    // drops: closing with unread bytes in the receive buffer makes the
+    // kernel send RST, which can destroy the error reply before the client
+    // reads it.
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let _ = std::io::copy(&mut (&stream).take(4 * 1024 * 1024), &mut std::io::sink());
+}
+
+/// Why an [`exchange`] failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExchangeError {
+    /// The connection could not be made or died mid-exchange.
+    Transport(String),
+    /// The peer answered with bytes that are not an HTTP response.
+    Protocol(String),
+}
+
+/// One client request/response exchange: connects to `addr`, writes the
+/// head (with the [`PROTO_VERSION_HEADER`], `headers` and the
+/// `Content-Length`) and `body`, half-closes, reads the response to the end
+/// and returns its status and body. `timeout` bounds the connect and every
+/// socket read and write.
+pub fn exchange(
+    addr: impl ToSocketAddrs,
+    timeout: Duration,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &[u8],
+) -> Result<(u16, Vec<u8>), ExchangeError> {
+    let transport = |e: std::io::Error| ExchangeError::Transport(e.to_string());
+    let mut connected = Err(std::io::ErrorKind::AddrNotAvailable.into());
+    for candidate in addr.to_socket_addrs().map_err(transport)? {
+        connected = TcpStream::connect_timeout(&candidate, timeout);
+        if connected.is_ok() {
+            break;
+        }
+    }
+    let mut stream = connected.map_err(transport)?;
+    let _ = stream.set_read_timeout(Some(timeout));
+    let _ = stream.set_write_timeout(Some(timeout));
+    // Every request declares the protocol revision it speaks, so a
+    // mixed-version pair fails fast with a typed `ProtocolMismatch`
+    // instead of misparsing each other.
+    let mut head =
+        format!("{method} {path} HTTP/1.0\r\n{PROTO_VERSION_HEADER}: {PROTO_VERSION}\r\n");
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    stream
+        .write_all(head.as_bytes())
+        .and_then(|()| stream.write_all(body))
+        .and_then(|()| stream.flush())
+        .map_err(transport)?;
+    // Half-close: the request is complete, so a server that rejects it
+    // without reading the body sees EOF instead of blocking on a drain.
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).map_err(transport)?;
+    let head_end = find_head_end(&raw).ok_or_else(|| {
+        ExchangeError::Protocol("response has no head/body separator".to_string())
+    })?;
+    let head = String::from_utf8_lossy(&raw[..head_end]);
+    let status_line = head.lines().next().unwrap_or("");
+    let status = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse::<u16>().ok())
+        .ok_or_else(|| ExchangeError::Protocol(format!("bad status line {status_line:?}")))?;
+    Ok((status, raw[head_end + 4..].to_vec()))
 }
 
 #[cfg(test)]

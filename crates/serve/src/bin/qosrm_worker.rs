@@ -1,7 +1,7 @@
 //! External sweep worker: drains shard leases from a coordinator.
 //!
 //! ```text
-//! qosrm_worker --addr HOST:PORT [--worker NAME] [--run ID] [--poll-ms MS]
+//! qosrm_worker --addr HOST:PORT [--worker NAME] [--run ID]
 //!              [--shard-delay-ms MS] [--retries N]
 //! ```
 //!
@@ -34,7 +34,6 @@ fn main() {
             "--addr" => addr = value("--addr"),
             "--worker" => config.worker = value("--worker"),
             "--run" => config.run = value("--run"),
-            "--poll-ms" => config.poll_ms = parse(&value("--poll-ms"), "--poll-ms"),
             "--shard-delay-ms" => {
                 config.shard_delay_ms = parse(&value("--shard-delay-ms"), "--shard-delay-ms")
             }
@@ -42,7 +41,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: qosrm_worker --addr HOST:PORT [--worker NAME] [--run ID] \
-                     [--poll-ms MS] [--shard-delay-ms MS] [--retries N]"
+                     [--shard-delay-ms MS] [--retries N]"
                 );
                 return;
             }

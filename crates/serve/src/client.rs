@@ -1,10 +1,9 @@
 //! A blocking client for the daemon protocol, used by `qosrm_load`, the
 //! protocol tests, and the serving benchmark.
 
-use crate::http::{WireError, PROTO_VERSION, PROTO_VERSION_HEADER};
+use crate::http::{self, ExchangeError, WireError};
 use crate::server::{RunStatus, StatsReport};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Why a client call failed.
@@ -42,13 +41,6 @@ impl std::fmt::Display for ClientError {
     }
 }
 
-/// A parsed response.
-#[derive(Debug, Clone)]
-struct Response {
-    status: u16,
-    body: Vec<u8>,
-}
-
 /// Blocking daemon client. One TCP connection per call (the protocol is
 /// one request per connection).
 #[derive(Debug, Clone)]
@@ -83,49 +75,39 @@ impl Client {
         shard_size: usize,
     ) -> Result<(bool, RunStatus), ClientError> {
         let path = format!("/runs?quick={quick}&shard_size={shard_size}");
-        let response = self.request(
-            "POST",
-            &path,
-            &[
-                ("x-client", client_name),
-                ("content-type", "application/json"),
-            ],
-            spec_json.as_bytes(),
-        )?;
-        let created = response.status == 202;
-        let status = self.parse_json(&self.ok(response)?)?;
-        Ok((created, status))
+        let headers = [
+            ("x-client", client_name),
+            ("content-type", "application/json"),
+        ];
+        let (status, body) = self.call("POST", &path, &headers, spec_json.as_bytes())?;
+        Ok((status == 202, parse_json(&body)?))
     }
 
     /// Fetches a run's status.
     pub fn status(&self, run_id: &str) -> Result<RunStatus, ClientError> {
-        let response = self.request("GET", &format!("/runs/{run_id}"), &[], b"")?;
-        self.parse_json(&self.ok(response)?)
+        self.json("GET", &format!("/runs/{run_id}"))
     }
 
     /// Lists all runs.
     pub fn list(&self) -> Result<Vec<RunStatus>, ClientError> {
-        let response = self.request("GET", "/runs", &[], b"")?;
-        self.parse_json(&self.ok(response)?)
+        self.json("GET", "/runs")
     }
 
     /// Cancels a run, returning its status after the cancel.
     pub fn cancel(&self, run_id: &str) -> Result<RunStatus, ClientError> {
-        let response = self.request("POST", &format!("/runs/{run_id}/cancel"), &[], b"")?;
-        self.parse_json(&self.ok(response)?)
+        self.json("POST", &format!("/runs/{run_id}/cancel"))
     }
 
     /// Fetches the merged result bytes of a complete run — the exact bytes
     /// the offline `sweep merge --result` path writes.
     pub fn result(&self, run_id: &str) -> Result<Vec<u8>, ClientError> {
-        let response = self.request("GET", &format!("/runs/{run_id}/result"), &[], b"")?;
-        self.ok(response)
+        let (_, body) = self.call("GET", &format!("/runs/{run_id}/result"), &[], b"")?;
+        Ok(body)
     }
 
     /// Fetches the `/stats` report.
     pub fn stats(&self) -> Result<StatsReport, ClientError> {
-        let response = self.request("GET", "/stats", &[], b"")?;
-        self.parse_json(&self.ok(response)?)
+        self.json("GET", "/stats")
     }
 
     /// Streams outcome lines starting at `from`, feeding each complete
@@ -138,16 +120,7 @@ impl Client {
         mut sink: impl FnMut(&str),
     ) -> Result<usize, ClientError> {
         let path = format!("/runs/{run_id}/stream?from={from}");
-        let mut stream = self.connect()?;
-        self.write_request(&mut stream, "GET", &path, &[], b"")?;
-        let mut raw = Vec::new();
-        stream
-            .read_to_end(&mut raw)
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        let (status, body) = split_response(&raw)?;
-        if status != 200 {
-            return Err(self.rejection(status, &body));
-        }
+        let (_, body) = self.call("GET", &path, &[], b"")?;
         let text = String::from_utf8_lossy(&body);
         let mut count = 0;
         for line in text.lines() {
@@ -160,71 +133,30 @@ impl Client {
         Ok(count)
     }
 
-    fn connect(&self) -> Result<TcpStream, ClientError> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        let _ = stream.set_read_timeout(Some(self.timeout));
-        let _ = stream.set_write_timeout(Some(self.timeout));
-        Ok(stream)
+    /// A bodiless request whose 2xx answer is JSON.
+    fn json<T: serde::Deserialize>(&self, method: &str, path: &str) -> Result<T, ClientError> {
+        let (_, body) = self.call(method, path, &[], b"")?;
+        parse_json(&body)
     }
 
-    fn write_request(
-        &self,
-        stream: &mut TcpStream,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: &[u8],
-    ) -> Result<(), ClientError> {
-        let mut head = format!("{method} {path} HTTP/1.0\r\n");
-        // Every request declares the protocol revision it speaks, so a
-        // mixed-version client/daemon pair fails fast with a typed
-        // `ProtocolMismatch` instead of misparsing each other.
-        head.push_str(&format!("{PROTO_VERSION_HEADER}: {PROTO_VERSION}\r\n"));
-        for (name, value) in headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-        stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
-            .and_then(|()| stream.flush())
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        // Half-close: the request is complete, so a server that rejects it
-        // without reading the body sees EOF instead of blocking on a drain.
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        Ok(())
-    }
-
-    fn request(
+    /// One exchange; a non-2xx answer becomes [`ClientError::Rejected`].
+    fn call(
         &self,
         method: &str,
         path: &str,
         headers: &[(&str, &str)],
         body: &[u8],
-    ) -> Result<Response, ClientError> {
-        let mut stream = self.connect()?;
-        self.write_request(&mut stream, method, path, headers, body)?;
-        let mut raw = Vec::new();
-        stream
-            .read_to_end(&mut raw)
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        let (status, body) = split_response(&raw)?;
-        Ok(Response { status, body })
-    }
-
-    /// Maps a non-2xx response to [`ClientError::Rejected`].
-    fn ok(&self, response: Response) -> Result<Vec<u8>, ClientError> {
-        if (200..300).contains(&response.status) {
-            Ok(response.body)
-        } else {
-            Err(self.rejection(response.status, &response.body))
+    ) -> Result<(u16, Vec<u8>), ClientError> {
+        let (status, body) = http::exchange(self.addr, self.timeout, method, path, headers, body)
+            .map_err(|e| match e {
+            ExchangeError::Transport(detail) => ClientError::Transport(detail),
+            ExchangeError::Protocol(detail) => ClientError::Protocol(detail),
+        })?;
+        if (200..300).contains(&status) {
+            return Ok((status, body));
         }
-    }
-
-    fn rejection(&self, status: u16, body: &[u8]) -> ClientError {
-        let text = String::from_utf8_lossy(body);
-        match serde_json::from_str::<WireError>(&text) {
+        let text = String::from_utf8_lossy(&body);
+        Err(match serde_json::from_str::<WireError>(&text) {
             Ok(wire) => ClientError::Rejected {
                 status,
                 kind: wire.error.kind,
@@ -235,29 +167,12 @@ impl Client {
                 kind: "Unknown".to_string(),
                 message: text.into_owned(),
             },
-        }
-    }
-
-    fn parse_json<T: serde::Deserialize>(&self, body: &[u8]) -> Result<T, ClientError> {
-        let text = String::from_utf8_lossy(body);
-        serde_json::from_str(&text).map_err(|e| {
-            ClientError::Protocol(format!("unparsable response body: {e} in {text:.120}"))
         })
     }
 }
 
-/// Splits raw response bytes into (status, body).
-fn split_response(raw: &[u8]) -> Result<(u16, Vec<u8>), ClientError> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| ClientError::Protocol("response has no head/body separator".to_string()))?;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let status_line = head.lines().next().unwrap_or("");
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line {status_line:?}")))?;
-    Ok((status, raw[head_end + 4..].to_vec()))
+fn parse_json<T: serde::Deserialize>(body: &[u8]) -> Result<T, ClientError> {
+    let text = String::from_utf8_lossy(body);
+    serde_json::from_str(&text)
+        .map_err(|e| ClientError::Protocol(format!("unparsable response body: {e} in {text:.120}")))
 }

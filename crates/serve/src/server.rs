@@ -2,19 +2,22 @@
 //!
 //! ## Execution model
 //!
-//! One accept thread hands each connection to a short-lived handler thread
-//! (one request per connection — the protocol is deliberately stateless),
-//! and a bounded pool of worker threads drains the admission queue. The
-//! worker that claims a run opens an [`experiments::dist::Coordinator`]
-//! over its directory and executes it **one leased shard at a time**, so
-//! every shard boundary is a checkpoint: cancellation is honoured between
-//! shards, a SIGKILL loses at most the leases in flight, and a restarted
-//! daemon resumes from the manifest (reclaiming its own dead workers'
-//! leases immediately, while external workers' leases survive). Because
-//! the daemon *is* the coordinator, external `qosrm_worker` processes can
-//! attach to `POST /lease` / `POST /heartbeat` /
-//! `POST /shards/{id}/complete` and drain the same per-run shard queue the
-//! in-process workers draw from.
+//! The shared front end ([`crate::http::serve`]) hands each connection to a
+//! short-lived handler thread (one request per connection — the protocol is
+//! deliberately stateless); the daemon's [`Routes`] answer its own
+//! endpoints first and fall through to the coordination endpoints. A
+//! bounded pool of worker threads drains the admission queue. The worker
+//! that claims a run opens an [`experiments::dist::Coordinator`] over its
+//! directory and drains it with [`experiments::dist::drain`] — the loop
+//! `sweep run` and `qosrm_worker` run too — **one leased shard at a time**,
+//! so every shard boundary is a checkpoint: cancellation and shutdown are
+//! honoured between shards, a SIGKILL loses at most the leases in flight,
+//! and a restarted daemon resumes from the manifest (reclaiming its own
+//! dead workers' leases immediately, while external workers' leases
+//! survive). Because the daemon *is* the coordinator, external
+//! `qosrm_worker` processes can attach to `POST /lease` /
+//! `POST /heartbeat` / `POST /shards/{id}/complete` and drain the same
+//! per-run shard queue the in-process workers draw from.
 //!
 //! ## Backpressure
 //!
@@ -22,22 +25,24 @@
 //! queued (running runs do not count). A submission over the bound is
 //! rejected with HTTP 429 / kind `QueueFull` — never silently dropped or
 //! buffered — and queued runs drain fairly per client
-//! ([`crate::state::FairQueue`]). Request bodies over
+//! ([`crate::state::FairQueue`]). Submissions over
 //! [`ServeConfig::max_payload_bytes`] are refused with 413 /
-//! `PayloadTooLarge` before the spec is even parsed.
+//! `PayloadTooLarge` before the spec is even parsed; shard completions
+//! from external workers are bounded separately, by
+//! [`experiments::dist::MAX_COMPLETE_BYTES`].
 
 use crate::http::{
-    read_request, write_error, write_json, write_response, write_stream_head, Request,
-    RequestError, WireError,
+    self, write_error, write_json, write_response, write_stream_head, HttpServer, Request, Routes,
+    WireError,
 };
 use crate::state::{RegistryInner, RunMeta, RunState, RunTallies, ServeCounters, RUN_META_FILE};
-use experiments::dist::{self, Coordinator, CoordinatorConfig};
+use experiments::dist::{self, Coordinator, CoordinatorConfig, WorkerConfig};
 use experiments::{
     ExperimentContext, LeaseCounters, LockUnpoisoned, ScenarioSpec, SweepManifest, SweepOptions,
     WaitUnpoisoned,
 };
 use qosrm_core::RmaWorkCounters;
-use qosrm_proto::{CompleteRequest, LeaseTelemetry};
+use qosrm_proto::LeaseTelemetry;
 use qosrm_types::QosrmError;
 use serde::{Deserialize, Serialize};
 use simdb::StoreCounters;
@@ -64,8 +69,10 @@ pub struct ServeConfig {
     /// Bound on *queued* (not running) runs; submissions beyond it are
     /// rejected with `QueueFull`.
     pub max_queue: usize,
-    /// Bound on request bodies in bytes (submissions and external-worker
-    /// shard completions alike — size shards so their outcome logs fit).
+    /// Bound on submission bodies (`POST /runs`) and every other daemon
+    /// route, in bytes. The coordination endpoints are bounded by
+    /// [`dist::MAX_COMPLETE_BYTES`] instead, because an external worker's
+    /// completion carries a whole shard log.
     pub max_payload_bytes: usize,
     /// Shard size used when a submission does not specify one.
     pub default_shard_size: usize,
@@ -74,9 +81,11 @@ pub struct ServeConfig {
     pub serial: bool,
     /// Poll interval of `/stream` tails and worker cancellation checks.
     pub poll_interval_ms: u64,
-    /// Artificial pause between shards (0 in production; tests and demos
-    /// use it to exercise mid-run cancellation and kill windows
-    /// deterministically).
+    /// Artificial pause of the in-process workers between evaluating a
+    /// shard and delivering it (0 in production; tests and demos use it for
+    /// slow shards, to exercise mid-run cancellation and kill windows
+    /// deterministically). The same meaning as
+    /// [`WorkerConfig::shard_delay_ms`].
     pub shard_delay_ms: u64,
     /// Shard-lease duration handed to workers (in-process and external
     /// `qosrm_worker` processes alike); a worker that goes silent for this
@@ -280,6 +289,7 @@ impl Shared {
         contexts
             .entry(quick)
             .or_insert_with(|| {
+                // The drain loop evaluates every shard with these options.
                 // Serial mode stays memoized and on the delta path:
                 // `SweepOptions::serial()` would also disable memoization,
                 // which the serving bench relies on for deterministic
@@ -384,7 +394,7 @@ pub fn run_id(spec: &ScenarioSpec, quick: bool) -> String {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
+    front: Option<HttpServer>,
     worker_handles: Vec<JoinHandle<()>>,
 }
 
@@ -423,17 +433,14 @@ impl Server {
                     .map_err(|e| QosrmError::Io(e.to_string()))?,
             );
         }
-        let accept_shared = shared.clone();
-        let accept_handle = thread::Builder::new()
-            .name("qosrm-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, &accept_shared))
-            .map_err(|e| QosrmError::Io(e.to_string()))?;
+        let front =
+            http::serve(listener, shared.clone()).map_err(|e| QosrmError::Io(e.to_string()))?;
 
         shared.log(&format!("listening on {addr}"));
         Ok(Server {
             addr,
             shared,
-            accept_handle: Some(accept_handle),
+            front: Some(front),
             worker_handles,
         })
     }
@@ -443,7 +450,7 @@ impl Server {
         self.addr
     }
 
-    /// Stops the accept loop and workers and joins them. In-flight shards
+    /// Stops the front end and workers and joins them. In-flight shards
     /// finish; queued runs stay durably queued for the next start.
     pub fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -452,10 +459,8 @@ impl Server {
             registry.shutdown = true;
         }
         self.shared.work.notify_all();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
+        if let Some(front) = self.front.take() {
+            front.stop();
         }
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
@@ -517,79 +522,53 @@ fn recover_runs(shared: &Arc<Shared>) -> Result<(), QosrmError> {
     Ok(())
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+impl Routes for Shared {
+    fn body_limit(&self, method: &str, path: &str) -> usize {
+        if dist::is_coordination_post(method, path) {
+            dist::MAX_COMPLETE_BYTES
+        } else {
+            self.config.max_payload_bytes
         }
-        let Ok(stream) = stream else { continue };
-        let shared = shared.clone();
-        let _ = thread::Builder::new()
-            .name("qosrm-serve-conn".to_string())
-            .spawn(move || handle_connection(stream, &shared));
     }
-}
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let request = match read_request(&mut stream, shared.config.max_payload_bytes) {
-        Ok(request) => request,
-        Err(RequestError::Closed) => return,
-        Err(RequestError::TooLarge { limit }) => {
-            ServeCounters::bump(&shared.counters.rejected_payload);
-            let _ = write_error(
-                &mut stream,
-                413,
-                "Payload Too Large",
-                &WireError::new(
-                    "PayloadTooLarge",
-                    format!("request exceeds the {limit}-byte limit"),
-                ),
-            );
-            drain(&mut stream);
-            return;
+    fn refused(&self, status: u16) {
+        if status == 413 {
+            ServeCounters::bump(&self.counters.rejected_payload);
         }
-        Err(RequestError::Malformed(detail)) => {
-            let _ = write_error(
-                &mut stream,
-                400,
-                "Bad Request",
-                &WireError::new("MalformedRequest", detail),
-            );
-            drain(&mut stream);
-            return;
-        }
-    };
-    ServeCounters::bump(&shared.counters.http_requests);
-    shared.log(&format!("{} {}", request.method, request.path));
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    let result = match (request.method.as_str(), segments.as_slice()) {
-        ("POST", ["runs"]) => handle_submit(&mut stream, shared, &request),
-        ("GET", ["runs"]) => handle_list(&mut stream, shared),
-        ("GET", ["runs", id]) => handle_status(&mut stream, shared, id),
-        ("GET", ["runs", id, "stream"]) => handle_stream(&mut stream, shared, id, &request),
-        ("GET", ["runs", id, "result"]) => handle_result(&mut stream, shared, id),
-        ("POST", ["runs", id, "cancel"]) => handle_cancel(&mut stream, shared, id),
-        ("GET", ["stats"]) => handle_stats(&mut stream, shared),
-        ("GET", ["healthz"]) => write_response(&mut stream, 200, "OK", "text/plain", b"ok\n"),
-        (method, _) if method != "GET" && method != "POST" => write_error(
-            &mut stream,
-            405,
-            "Method Not Allowed",
-            &WireError::new("MethodNotAllowed", format!("method {method} not supported")),
-        ),
-        // Everything else falls through to the shared coordination router:
-        // `POST /lease`, `POST /heartbeat`, `POST /shards/{id}/complete`,
-        // and `GET /status` — the same endpoints `sweep coordinate` mounts,
-        // resolved against this daemon's per-run coordinator map.
-        _ => handle_coordination(&mut stream, shared, &request),
-    };
-    let _ = result;
+    }
+
+    fn respond(&self, stream: &mut TcpStream, request: &Request) {
+        ServeCounters::bump(&self.counters.http_requests);
+        self.log(&format!("{} {}", request.method, request.path));
+        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
+        let _ = match (request.method.as_str(), segments.as_slice()) {
+            ("POST", ["runs"]) => handle_submit(stream, self, request),
+            ("GET", ["runs"]) => handle_list(stream, self),
+            ("GET", ["runs", id]) => handle_status(stream, self, id),
+            ("GET", ["runs", id, "stream"]) => handle_stream(stream, self, id, request),
+            ("GET", ["runs", id, "result"]) => handle_result(stream, self, id),
+            ("POST", ["runs", id, "cancel"]) => handle_cancel(stream, self, id),
+            ("GET", ["stats"]) => handle_stats(stream, self),
+            ("GET", ["healthz"]) => write_response(stream, 200, "OK", "text/plain", b"ok\n"),
+            (method, _) if method != "GET" && method != "POST" => write_error(
+                stream,
+                405,
+                "Method Not Allowed",
+                &WireError::new("MethodNotAllowed", format!("method {method} not supported")),
+            ),
+            // Everything else falls through to the shared coordination
+            // router: `POST /lease`, `POST /heartbeat`,
+            // `POST /shards/{id}/complete`, and `GET /status` — the same
+            // endpoints `sweep coordinate` mounts, resolved against this
+            // daemon's per-run coordinator map.
+            _ => handle_coordination(stream, self, request),
+        };
+    }
 }
 
 fn handle_coordination(
     stream: &mut TcpStream,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     request: &Request,
 ) -> std::io::Result<()> {
     let resolve = |run: &str| {
@@ -609,41 +588,12 @@ fn handle_coordination(
             None => dist::Resolution::Unknown,
         }
     };
-    if dist::respond_coordination(stream, request, &resolve)? {
-        Ok(())
-    } else {
-        write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("NotFound", format!("no such endpoint: {}", request.path)),
-        )
-    }
-}
-
-/// Discards whatever the peer is still sending (bounded) before the socket
-/// drops. Closing with unread bytes in the receive buffer makes the kernel
-/// send RST, which can destroy the queued error response before the client
-/// reads it.
-fn drain(stream: &mut TcpStream) {
-    use std::io::Read;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut sink = [0u8; 8192];
-    let mut total = 0usize;
-    while let Ok(n) = stream.read(&mut sink) {
-        if n == 0 {
-            break;
-        }
-        total += n;
-        if total > 4 * 1024 * 1024 {
-            break;
-        }
-    }
+    dist::respond_coordination(stream, request, &resolve)
 }
 
 fn handle_submit(
     stream: &mut TcpStream,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     request: &Request,
 ) -> std::io::Result<()> {
     ServeCounters::bump(&shared.counters.submissions);
@@ -737,7 +687,7 @@ fn handle_submit(
     write_json(stream, status, reason, &body)
 }
 
-fn handle_list(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+fn handle_list(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
     let statuses: Vec<RunStatus> = {
         let registry = shared.registry.lock_unpoisoned();
         let mut metas: Vec<RunMeta> = registry.runs.values().cloned().collect();
@@ -748,7 +698,7 @@ fn handle_list(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<
     write_json(stream, 200, "OK", &body)
 }
 
-fn handle_status(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std::io::Result<()> {
+fn handle_status(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
     let status = {
         let registry = shared.registry.lock_unpoisoned();
         registry.runs.get(id).map(|meta| shared.status_of(meta))
@@ -772,7 +722,7 @@ fn handle_status(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std:
 /// reconnecting after a daemon restart resumes its cursor).
 fn handle_stream(
     stream: &mut TcpStream,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: &str,
     request: &Request,
 ) -> std::io::Result<()> {
@@ -845,7 +795,7 @@ fn outcome_lines(dir: &Path) -> Vec<String> {
     lines
 }
 
-fn handle_result(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std::io::Result<()> {
+fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
     let state = match shared.state_of(id) {
         Some(state) => state,
         None => {
@@ -888,7 +838,7 @@ fn handle_result(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std:
     }
 }
 
-fn handle_cancel(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std::io::Result<()> {
+fn handle_cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
     let status = {
         let mut registry = shared.registry.lock_unpoisoned();
         match registry.runs.get(id).map(|meta| meta.state) {
@@ -928,7 +878,7 @@ fn handle_cancel(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std:
     }
 }
 
-fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
     let (queue_depth, tallies) = {
         let registry = shared.registry.lock_unpoisoned();
         (registry.queue.len(), registry.tallies())
@@ -1038,13 +988,15 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Executes a run as its coordinator: the worker thread leases shards to
-/// itself through the same [`Coordinator`] the daemon's coordination
-/// endpoints expose, so external `qosrm_worker` processes drain the very
-/// same queue. Every shard boundary remains a checkpoint — cancellation is
-/// honoured between shards, and durable lease records make a SIGKILL lose
-/// at most the leases in flight (reclaimed on the next start).
-fn execute_run(shared: &Arc<Shared>, id: &str) {
+/// Executes a run as its coordinator: the worker thread drains the same
+/// [`Coordinator`] the daemon's coordination endpoints expose, so external
+/// `qosrm_worker` processes drain the very same queue. The drain stops at
+/// the first shard boundary where the run is no longer `Running` (a racing
+/// cancel already persisted the terminal state) or the daemon is shutting
+/// down (the run is re-queued for the next start); durable lease records
+/// make a SIGKILL lose at most the leases in flight (reclaimed on the next
+/// start).
+fn execute_run(shared: &Shared, id: &str) {
     let meta = {
         let registry = shared.registry.lock_unpoisoned();
         match registry.runs.get(id) {
@@ -1071,78 +1023,43 @@ fn execute_run(shared: &Arc<Shared>, id: &str) {
         shared.lease_counters.clone(),
     ) {
         Ok(coordinator) => Arc::new(coordinator),
-        Err(e) => {
-            fail_run(shared, id, &e);
-            return;
-        }
+        Err(e) => return fail_run(shared, id, &e),
     };
     shared
         .coordinators
         .lock_unpoisoned()
         .insert(id.to_string(), coordinator.clone());
-    let worker = thread::current()
-        .name()
-        .unwrap_or("qosrm-serve-worker-?")
-        .to_string();
-    // A state other than Running means a racing cancel handler already
-    // persisted the terminal state; stop leasing immediately.
-    while shared.state_of(id) == Some(RunState::Running) {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Leave the run re-queueable: the next start recovers it.
-            shared.set_state(id, RunState::Queued, None);
-            break;
+    let worker = WorkerConfig {
+        worker: thread::current()
+            .name()
+            .unwrap_or("qosrm-serve-worker-?")
+            .to_string(),
+        run: id.to_string(),
+        shard_delay_ms: shared.config.shard_delay_ms,
+        ..Default::default()
+    };
+    let shutting_down = || shared.shutdown.load(Ordering::SeqCst);
+    let drained = dist::drain(&*coordinator, &worker, &mut |_| &*ctx, &mut |_| {
+        shutting_down() || shared.state_of(id) != Some(RunState::Running)
+    });
+    // Only transition a run nothing else (a racing cancel) already moved.
+    match drained {
+        Err(e) => fail_run(shared, id, &e),
+        Ok(_) if shared.state_of(id) != Some(RunState::Running) => {}
+        Ok(_) if coordinator.finished() => {
+            shared.set_state(id, RunState::Complete, None);
+            ServeCounters::bump(&shared.counters.runs_completed);
         }
-        let reply = match coordinator.lease_shard(&worker) {
-            Ok(reply) => reply,
-            Err(e) => {
-                fail_run(shared, id, &e);
-                break;
-            }
-        };
-        let Some(grant) = reply.grant else {
-            if reply.finished {
-                // Only transition if nothing else (a racing cancel)
-                // already did.
-                if shared.state_of(id) == Some(RunState::Running) {
-                    shared.set_state(id, RunState::Complete, None);
-                    ServeCounters::bump(&shared.counters.runs_completed);
-                }
-                break;
-            }
-            // Nothing pending right now, but external workers hold live
-            // leases: wait for them to land (or expire and reinject).
-            thread::sleep(Duration::from_millis(
-                shared.config.poll_interval_ms.max(10),
-            ));
-            continue;
-        };
-        let delivered = dist::evaluate_grant(&*coordinator, &worker, &grant, &ctx).and_then(
-            |(outcomes_jsonl, curve_hits, curve_misses)| {
-                coordinator.deliver(&CompleteRequest {
-                    worker: worker.clone(),
-                    run: grant.run.clone(),
-                    shard: grant.shard,
-                    epoch: grant.epoch,
-                    outcomes_jsonl,
-                    curve_hits,
-                    curve_misses,
-                })
-            },
-        );
-        if let Err(e) = delivered {
-            fail_run(shared, id, &e);
-            break;
-        }
-        if shared.config.shard_delay_ms > 0 {
-            thread::sleep(Duration::from_millis(shared.config.shard_delay_ms));
-        }
+        // Stopped by shutdown: leave the run re-queueable for the next
+        // start.
+        Ok(_) => shared.set_state(id, RunState::Queued, None),
     }
     // The run left Running (terminal, re-queued, or failed): stop serving
     // leases for it. Late external completions resolve as stale.
     shared.coordinators.lock_unpoisoned().remove(id);
 }
 
-fn fail_run(shared: &Arc<Shared>, id: &str, e: &QosrmError) {
+fn fail_run(shared: &Shared, id: &str, e: &QosrmError) {
     if shared.state_of(id) == Some(RunState::Running) {
         shared.set_state(id, RunState::Failed, Some(e.to_string()));
         ServeCounters::bump(&shared.counters.runs_failed);

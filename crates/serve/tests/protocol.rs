@@ -109,13 +109,17 @@ fn oversized_payload_is_rejected_as_payload_too_large() {
     );
     let client = Client::new(server.addr());
     let huge = format!("{{\"pad\":\"{}\"}}", "x".repeat(1024));
-    let err = client.submit(&huge, "t", true, 4).unwrap_err();
-    match err {
-        ClientError::Rejected { status, kind, .. } => {
-            assert_eq!(status, 413);
-            assert_eq!(kind, "PayloadTooLarge");
+    // One byte over the bound is as oversized as a kilobyte over it.
+    let just_over = format!("{{\"pad\":\"{}\"}}", "x".repeat(257 - 10));
+    assert_eq!(just_over.len(), 257);
+    for payload in [&huge, &just_over] {
+        match client.submit(payload, "t", true, 4).unwrap_err() {
+            ClientError::Rejected { status, kind, .. } => {
+                assert_eq!(status, 413);
+                assert_eq!(kind, "PayloadTooLarge");
+            }
+            other => panic!("expected PayloadTooLarge, got {other}"),
         }
-        other => panic!("expected PayloadTooLarge, got {other}"),
     }
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -490,7 +494,6 @@ fn external_workers_drain_the_daemon_lease_queue_alongside_the_pool() {
             &experiments::dist::WorkerConfig {
                 worker: "ext-1".to_string(),
                 run: pinned,
-                poll_ms: 25,
                 ..Default::default()
             },
         )
@@ -521,6 +524,62 @@ fn external_workers_drain_the_daemon_lease_queue_alongside_the_pool() {
     assert_eq!(
         stats.leases.per_worker.get("ext-1"),
         Some(&report.shards_completed)
+    );
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn external_completions_are_bounded_by_the_coordination_limit_not_max_payload() {
+    // The submission bound is exactly the submission's length, so any
+    // shard log an external worker delivers is longer than it: the
+    // coordination routes must be bounded by `MAX_COMPLETE_BYTES` instead.
+    let spec = tiny_spec("bigcomplete", 61, 6);
+    let payload = serde_json::to_string(&spec).unwrap();
+    let (mut server, client, dir) = start(
+        "bigcomplete",
+        ServeConfig {
+            workers: 1,
+            max_payload_bytes: payload.len(),
+            shard_delay_ms: 400,
+            default_shard_size: 1,
+            ..Default::default()
+        },
+    );
+    let (created, status) = client.submit(&payload, "t", true, 1).unwrap();
+    assert!(created, "a submission of exactly the bound is admitted");
+    let id = status.id.clone();
+    let addr = server.addr().to_string();
+    let handle = std::thread::spawn(move || {
+        experiments::dist::run_worker(
+            &addr,
+            &experiments::dist::WorkerConfig {
+                worker: "ext-big".to_string(),
+                run: id,
+                ..Default::default()
+            },
+        )
+    });
+    assert_eq!(wait_terminal(&client, &status.id), "complete");
+    let report = handle.join().unwrap().expect("external worker run");
+    assert!(report.shards_completed >= 1, "{report:?}");
+    assert_eq!(
+        client.stats().unwrap().leases.per_worker.get("ext-big"),
+        Some(&report.shards_completed)
+    );
+    // Every one-scenario shard log is longer than the submission bound.
+    let run_dir = dir.join("runs").join(&status.id);
+    let shortest_log = (0..6u64)
+        .map(|shard| {
+            let file = run_dir.join(experiments::stream::shard_file_name(shard));
+            std::fs::metadata(file).expect("shard log").len() as usize
+        })
+        .min()
+        .unwrap();
+    assert!(
+        shortest_log > payload.len(),
+        "shard logs ({shortest_log} bytes) must exceed the {}-byte bound",
+        payload.len()
     );
     server.stop();
     std::fs::remove_dir_all(&dir).ok();

@@ -123,7 +123,6 @@ fn interrupted_and_resumed_sweep_merges_byte_identically() {
         &StreamOptions {
             shard_size: 4,
             max_shards: 2,
-            ..Default::default()
         },
     )
     .expect("partial run runs");
@@ -195,7 +194,6 @@ fn interrupted_e10_poa_sweep_resumes_byte_identically() {
         &StreamOptions {
             shard_size: 4,
             max_shards: 2,
-            ..Default::default()
         },
     )
     .expect("partial E10 run runs");
