@@ -1122,7 +1122,7 @@ mod tests {
         // double has seen a renewal, so at least one lands mid-work.
         let result = heartbeating(&double, &heartbeat_request(), 150, || {
             beats
-                .recv()
+                .recv_timeout(Duration::from_secs(60))
                 .expect("a heartbeat arrives while the work runs")
         });
         assert_eq!(result.unwrap(), 7, "the work saw the shard's epoch renewed");
@@ -1142,12 +1142,27 @@ mod tests {
     #[test]
     fn the_heartbeat_ends_with_the_work_even_on_an_unbounded_lease() {
         // The local executor's lease: the side thread's wait must neither
-        // overflow nor be waited out when the work ends at once.
-        let (double, beats) = recorder();
-        let result = heartbeating(&double, &heartbeat_request(), stream::LOCAL_LEASE_MS, || 5);
-        assert_eq!(result.unwrap(), 5);
-        drop(double);
-        assert_eq!(beats.try_iter().count(), 0);
+        // overflow nor be waited out. The work is a real shard evaluation,
+        // so the side thread is waiting when it ends; the channel bounds
+        // how long the test waits for a helper that never returns.
+        let (returned, outcome) = mpsc::channel();
+        thread::spawn(move || {
+            let (double, beats) = recorder();
+            let ctx = ExperimentContext::new(true);
+            let result = heartbeating(
+                &double,
+                &heartbeat_request(),
+                stream::LOCAL_LEASE_MS,
+                || evaluate_points(&ctx, &tiny_spec(), &[0], SweepOptions::default()),
+            );
+            drop(double);
+            let _ = returned.send((result.map(|log| log.is_ok()), beats.try_iter().count()));
+        });
+        let (result, beats) = outcome
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the helper returns as soon as the work ends");
+        assert!(result.unwrap(), "the shard evaluates");
+        assert_eq!(beats, 0, "an unbounded lease is never renewed");
         // A panicking work item is contained and reported.
         let (double, _beats) = recorder();
         let panicked = heartbeating(&double, &heartbeat_request(), 150, || -> u8 {

@@ -5,7 +5,7 @@
 //! protocol needs very little: one request per connection, `Content-Length`
 //! bodies, `Connection: close` responses, and one streaming response shape
 //! (the JSONL outcome tail, which has no length and ends when the socket
-//! closes). The grammar the daemon accepts:
+//! closes). The grammar both servers accept:
 //!
 //! ```text
 //! request  = method SP path ["?" query] SP version CRLF *(header CRLF) CRLF [body]

@@ -14,10 +14,12 @@
 //! Two modules:
 //!
 //! * [`http`] — the hand-rolled minimal HTTP/1.0 subset ([`std::net`] only;
-//!   the vendor/ constraint rules out async runtimes and HTTP crates),
-//!   including the explicit protocol-version header that makes a
-//!   mixed-version coordinator/worker pair fail fast with a typed
-//!   [`http::WireError`] instead of a confusing malformed-request path;
+//!   the vendor/ constraint rules out async runtimes and HTTP crates): the
+//!   one accept loop both servers mount their routes on ([`http::serve`]),
+//!   the one client exchange ([`http::exchange`]), and the explicit
+//!   protocol-version header that makes a mixed-version coordinator/worker
+//!   pair fail fast with a typed [`http::WireError`] instead of a confusing
+//!   malformed-request path;
 //! * [`wire`] — the JSON message bodies of the coordination endpoints
 //!   (`POST /lease`, `POST /heartbeat`, `POST /shards/{id}/complete`).
 
