@@ -24,7 +24,7 @@ use experiments::dist::{self, Coordinator, CoordinatorConfig, WorkerConfig};
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
 use experiments::{
     stream, ExperimentContext, LeaseCounters, QosAxis, RmaVariant, ScenarioSpec, SearchConfig,
-    StreamOptions,
+    Signal, StreamOptions,
 };
 use qosrm_core::{
     best_response, min_energy_equilibrium, optimize_partition_scalar,
@@ -670,7 +670,6 @@ fn run_serve(reps: usize, clients: usize, per_client: usize, distinct: usize) ->
             workers: 1,
             default_shard_size: 1,
             serial: true,
-            poll_interval_ms: 5,
             ..Default::default()
         })
         .expect("in-process daemon must start on an ephemeral port");
@@ -921,8 +920,16 @@ fn run_dist(reps: usize, workers: usize, mixes: usize) -> Measured {
         };
         let ([dist], (coordinator, server, reports)) = timed(|| {
             let counters = Arc::new(LeaseCounters::default());
-            let coordinator =
-                Coordinator::open("dist-bench", &spec, true, &dist_dir, &config, counters);
+            let signal = Arc::new(Signal::default());
+            let coordinator = Coordinator::open(
+                "dist-bench",
+                &spec,
+                true,
+                &dist_dir,
+                &config,
+                counters,
+                signal,
+            );
             let coordinator = Arc::new(coordinator.expect("coordinator opens"));
             let server = dist::serve_coordinator("127.0.0.1:0", coordinator.clone())
                 .expect("coordinator listener binds");

@@ -424,9 +424,18 @@ fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), Stri
         ..Default::default()
     };
     let counters = std::sync::Arc::new(experiments::LeaseCounters::default());
+    let signal = std::sync::Arc::new(experiments::Signal::default());
     let coordinator = std::sync::Arc::new(
-        dist::Coordinator::open(&spec.name, &spec, parsed.quick, out, &config, counters)
-            .map_err(|e| e.to_string())?,
+        dist::Coordinator::open(
+            &spec.name,
+            &spec,
+            parsed.quick,
+            out,
+            &config,
+            counters,
+            signal,
+        )
+        .map_err(|e| e.to_string())?,
     );
     let server = dist::serve_coordinator(&addr, coordinator.clone()).map_err(|e| e.to_string())?;
     // Parseable liveness line (the smoke scripts wait for it). Flushed
@@ -434,12 +443,17 @@ fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), Stri
     println!("coordinating on {}", server.addr());
     std::io::stdout().flush().ok();
 
+    // Every accepted completion bumps the coordinator's signal.
+    let signal = coordinator.signal();
+    let mut seen = signal.generation();
     while !coordinator.finished() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        signal.wait_past(seen, std::time::Duration::MAX);
+        seen = signal.generation();
     }
-    // Linger so workers polling /lease observe `finished` and exit cleanly
-    // instead of dying on a refused connection.
+    // Linger so workers between two lease requests observe `finished` and
+    // exit cleanly instead of dying on a refused connection.
     let linger = parsed.linger_ms.unwrap_or(3_000);
+    #[allow(clippy::disallowed_methods)] // The linger is a grace period, not a wait on anything.
     std::thread::sleep(std::time::Duration::from_millis(linger));
     let (completed, total) = coordinator.progress();
     let telemetry = coordinator.telemetry();

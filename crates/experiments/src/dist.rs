@@ -29,6 +29,9 @@
 //!   queue.
 //!
 //! Both servers run on the one front end of [`qosrm_proto::http::serve`].
+//!
+//! No wait here is paced by a timer: a lease request with nothing to lease
+//! is *held* on the coordinator's [`Signal`] ([`Coordinator::lease_shard`]).
 
 use crate::context::ExperimentContext;
 use crate::spec::ScenarioSpec;
@@ -36,7 +39,7 @@ use crate::stream::{
     self, LeaseCounters, ShardScheduler, StreamReport, SweepManifest, MANIFEST_FILE,
 };
 use crate::sweep::{grid_points, mix_pairs, GridPoint, SweepEngine, SweepOptions};
-use crate::sync::LockUnpoisoned;
+use crate::sync::{LockUnpoisoned, Signal};
 use qosrm_proto::http::{
     self, check_proto_version, write_error, write_json, ExchangeError, HttpServer, Request, Routes,
     WireError,
@@ -51,13 +54,18 @@ use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Body bound of coordination requests. Completions carry whole shard logs,
 /// so this is far above the daemon's default submission payload cap.
 pub const MAX_COMPLETE_BYTES: usize = 64 * 1024 * 1024;
+
+/// The longest a lease request is held before it is answered without a
+/// grant — far inside [`WorkerClient`]'s 120 s read timeout.
+pub const LEASE_HOLD: Duration = Duration::from_secs(5);
 
 /// Milliseconds since the Unix epoch, the coordinator's lease clock.
 pub fn unix_ms() -> u64 {
@@ -67,15 +75,13 @@ pub fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Tuning of a [`Coordinator`].
+/// Tuning of a [`Coordinator`] (none of it paces a wait).
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     /// Scenarios per shard when the directory is fresh.
     pub shard_size: usize,
     /// Lease duration; workers heartbeat at a third of it.
     pub lease_ms: u64,
-    /// Retry hint handed to workers when nothing is pending right now.
-    pub retry_ms: u64,
     /// Ask workers to evaluate serially (deterministic counter sequencing
     /// for benchmarks; memoization stays on).
     pub serial: bool,
@@ -95,7 +101,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             shard_size: 32,
             lease_ms: 10_000,
-            retry_ms: 250,
             serial: false,
             verbose: false,
             reclaim_prefix: String::new(),
@@ -105,7 +110,7 @@ impl Default for CoordinatorConfig {
 
 /// The lease-granting side of a sweep: a [`ShardScheduler`] over one run
 /// directory, shared across connection threads, with the lease clock it
-/// reads.
+/// reads and the signal its held lease requests wait on.
 pub struct Coordinator {
     run: String,
     spec_json: String,
@@ -116,6 +121,8 @@ pub struct Coordinator {
     /// Milliseconds "now": [`unix_ms`] for a served run, a constant 0 for
     /// the local executor, whose leases never expire.
     clock: fn() -> u64,
+    signal: Arc<Signal>,
+    closed: AtomicBool,
 }
 
 impl Coordinator {
@@ -125,7 +132,9 @@ impl Coordinator {
     /// checking that its spec and quick mode match — a coordinator restart
     /// must continue the same sweep, not silently start a different one.
     /// Unexpired leases survive the reopen; expired (and single-process
-    /// `"local"`) leases are reinjected.
+    /// `"local"`) leases are reinjected. Every accepted completion bumps
+    /// `signal`, which a daemon shares across its coordinators like
+    /// `counters`.
     pub fn open(
         run: &str,
         spec: &ScenarioSpec,
@@ -133,6 +142,7 @@ impl Coordinator {
         dir: &Path,
         config: &CoordinatorConfig,
         counters: Arc<LeaseCounters>,
+        signal: Arc<Signal>,
     ) -> Result<Coordinator, QosrmError> {
         let mut manifest = if dir.join(MANIFEST_FILE).exists() {
             let manifest = SweepManifest::load(dir)?;
@@ -171,12 +181,13 @@ impl Coordinator {
                 }
             }
         }
-        Self::over(run, manifest, dir, config, counters, false, unix_ms)
+        Self::over(run, manifest, dir, config, counters, signal, false)
     }
 
     /// The local executor's coordinator over `dir`: it never reads a clock,
     /// grants [`stream::LOCAL_LEASE_MS`] leases, and reclaims every lease at
-    /// open (its one worker is the calling thread).
+    /// open (its one worker is the calling thread), so a lease it cannot
+    /// grant means the run is finished and is never held.
     pub(crate) fn local(
         manifest: SweepManifest,
         dir: &Path,
@@ -189,7 +200,8 @@ impl Coordinator {
         };
         let run = manifest.spec.name.clone();
         let counters = Arc::new(LeaseCounters::default());
-        Self::over(&run, manifest, dir, &config, counters, true, || 0)
+        let signal = Arc::new(Signal::default());
+        Self::over(&run, manifest, dir, &config, counters, signal, true)
     }
 
     fn over(
@@ -198,9 +210,10 @@ impl Coordinator {
         dir: &Path,
         config: &CoordinatorConfig,
         counters: Arc<LeaseCounters>,
-        reclaim: bool,
-        clock: fn() -> u64,
+        signal: Arc<Signal>,
+        local: bool,
     ) -> Result<Coordinator, QosrmError> {
+        let clock: fn() -> u64 = if local { || 0 } else { unix_ms };
         let spec_json =
             serde_json::to_string(&manifest.spec).map_err(|e| QosrmError::Io(e.to_string()))?;
         let quick = manifest.quick;
@@ -210,7 +223,7 @@ impl Coordinator {
             config.shard_size,
             config.lease_ms,
             counters.clone(),
-            reclaim,
+            local,
             clock(),
         )?;
         Ok(Coordinator {
@@ -221,6 +234,8 @@ impl Coordinator {
             counters,
             scheduler: Mutex::new(scheduler),
             clock,
+            signal,
+            closed: AtomicBool::new(false),
         })
     }
 
@@ -269,9 +284,40 @@ impl Coordinator {
         }
     }
 
+    /// The change signal lease requests are held on.
+    pub fn signal(&self) -> &Signal {
+        &self.signal
+    }
+
+    /// Stops holding lease requests. The daemon closes a coordinator (on
+    /// cancel or shutdown) before it bumps the signal, so a worker whose
+    /// stop check raced the bump is not held past it.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+    }
+
     /// Leases the next pending shard to `worker` (reinjecting any leases
-    /// that expired first).
+    /// that expired first). With nothing to lease in an unfinished run, the
+    /// request is held — without the scheduler lock — until the signal
+    /// moves or the earliest live lease expires, at most [`LEASE_HOLD`],
+    /// then tried once more and answered, possibly still without a grant.
     pub fn lease_shard(&self, worker: &str) -> Result<LeaseReply, QosrmError> {
+        // Generation first: a completion after the attempt moves it.
+        let seen = self.signal.generation();
+        let reply = self.try_lease(worker)?;
+        if reply.grant.is_some() || reply.finished || self.closed.load(Ordering::SeqCst) {
+            return Ok(reply);
+        }
+        let expiry = self.scheduler.lock_unpoisoned().earliest_expiry();
+        // Saturating: the local executor's leases expire near `u64::MAX / 4`.
+        let until = expiry.map_or(u64::MAX, |at| at.saturating_sub((self.clock)()));
+        self.signal
+            .wait_past(seen, LEASE_HOLD.min(Duration::from_millis(until)));
+        self.try_lease(worker)
+    }
+
+    /// One scheduler lease attempt, logging what it reinjected and granted.
+    fn try_lease(&self, worker: &str) -> Result<LeaseReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
         let reinjected_before = self.counters.snapshot().reinjected;
         let lease = scheduler.lease(worker, (self.clock)())?;
@@ -302,19 +348,44 @@ impl Coordinator {
                         serial: self.config.serial,
                     }),
                     finished: false,
-                    retry_ms: 0,
                 }
             }
             None => LeaseReply {
                 grant: None,
                 finished: scheduler.finished(),
-                retry_ms: self.config.retry_ms,
             },
         })
     }
+}
 
+/// The lease/heartbeat/complete surface a worker drains — implemented by
+/// [`Coordinator`] (in-process) and [`WorkerClient`] (over the wire), so
+/// the worker loop and the daemon's internal workers share one code path.
+pub trait Coordination {
+    /// Requests a shard lease for `worker` (from `run`, or any run when
+    /// empty). A coordinator holds the request while nothing is pending
+    /// ([`Coordinator::lease_shard`]); a reply with neither a grant nor
+    /// `finished` means "ask again".
+    fn lease(&self, worker: &str, run: &str) -> Result<LeaseReply, QosrmError>;
     /// Renews a held lease.
-    pub fn renew(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError> {
+    fn heartbeat(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError>;
+    /// Delivers a finished shard's log; stale epochs are rejected and their
+    /// log dropped.
+    fn complete(&self, request: &CompleteRequest) -> Result<CompleteReply, QosrmError>;
+}
+
+impl Coordination for Coordinator {
+    fn lease(&self, worker: &str, run: &str) -> Result<LeaseReply, QosrmError> {
+        if !run.is_empty() && run != self.run {
+            return Err(QosrmError::Io(format!(
+                "this coordinator serves run {:?}, not {run:?}",
+                self.run
+            )));
+        }
+        self.lease_shard(worker)
+    }
+
+    fn heartbeat(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
         let renewed = scheduler.heartbeat(
             &request.worker,
@@ -328,9 +399,7 @@ impl Coordinator {
         })
     }
 
-    /// Delivers a finished shard's log; stale epochs are rejected and
-    /// their log dropped.
-    pub fn deliver(&self, request: &CompleteRequest) -> Result<CompleteReply, QosrmError> {
+    fn complete(&self, request: &CompleteRequest) -> Result<CompleteReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
         let outcome = scheduler.complete(
             &request.worker,
@@ -349,6 +418,8 @@ impl Coordinator {
                 scheduler.manifest().completed_scenarios,
                 scheduler.total(),
             ));
+            // Held lease requests try again: the run may be finished now.
+            self.signal.bump();
         } else {
             self.log(&format!(
                 "stale completion of shard {} epoch {} from {} rejected",
@@ -360,39 +431,6 @@ impl Coordinator {
             stale: outcome.stale,
             finished: scheduler.finished(),
         })
-    }
-}
-
-/// The lease/heartbeat/complete surface a worker drains — implemented by
-/// [`Coordinator`] (in-process) and [`WorkerClient`] (over the wire), so
-/// the worker loop and the daemon's internal workers share one code path.
-pub trait Coordination {
-    /// Requests a shard lease for `worker` (from `run`, or any run when
-    /// empty).
-    fn lease(&self, worker: &str, run: &str) -> Result<LeaseReply, QosrmError>;
-    /// Renews a held lease.
-    fn heartbeat(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError>;
-    /// Delivers a finished shard's log.
-    fn complete(&self, request: &CompleteRequest) -> Result<CompleteReply, QosrmError>;
-}
-
-impl Coordination for Coordinator {
-    fn lease(&self, worker: &str, run: &str) -> Result<LeaseReply, QosrmError> {
-        if !run.is_empty() && run != self.run {
-            return Err(QosrmError::Io(format!(
-                "this coordinator serves run {:?}, not {run:?}",
-                self.run
-            )));
-        }
-        self.lease_shard(worker)
-    }
-
-    fn heartbeat(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError> {
-        self.renew(request)
-    }
-
-    fn complete(&self, request: &CompleteRequest) -> Result<CompleteReply, QosrmError> {
-        self.deliver(request)
     }
 }
 
@@ -443,9 +481,9 @@ pub fn evaluate_points(
 
 /// Runs `work` while heartbeating `request`'s lease from a side thread
 /// every third of `lease_ms` (at least every 50 ms). The side thread waits
-/// on a condition variable that the end of `work` wakes, so the helper
-/// returns as soon as `work` does and no heartbeat follows its return.
-/// A panic in `work` is contained and returned as an error.
+/// on a [`Signal`] that the end of `work` bumps, so the helper returns as
+/// soon as `work` does and no heartbeat follows its return. A panic in
+/// `work` is contained and returned as an error.
 fn heartbeating<C: Coordination + Sync, T>(
     coordination: &C,
     request: &HeartbeatRequest,
@@ -453,23 +491,13 @@ fn heartbeating<C: Coordination + Sync, T>(
     work: impl FnOnce() -> T,
 ) -> Result<T, QosrmError> {
     let interval = Duration::from_millis((lease_ms / 3).max(50));
-    let done = Mutex::new(false);
-    let ended = Condvar::new();
+    let ended = Signal::default();
     thread::scope(|scope| {
         scope.spawn(|| {
-            let mut guard = done.lock_unpoisoned();
-            loop {
-                let (next, wait) = ended
-                    .wait_timeout_while(guard, interval, |done| !*done)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                if !wait.timed_out() {
-                    return;
-                }
-                drop(next);
+            while !ended.wait_past(0, interval) {
                 // Transport hiccups and lost leases are both fine to ignore
                 // here: the completion is resolved by epoch.
                 let _ = coordination.heartbeat(request);
-                guard = done.lock_unpoisoned();
             }
         });
         // Contain evaluation panics (e.g. an exceeded event budget deep in
@@ -477,8 +505,7 @@ fn heartbeating<C: Coordination + Sync, T>(
         // leave the heartbeat thread waiting in the scope's implicit join,
         // hanging the worker instead of failing the run.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
-        *done.lock_unpoisoned() = true;
-        ended.notify_one();
+        ended.bump();
         result.map_err(|panic| {
             let message = panic
                 .downcast_ref::<&str>()
@@ -533,8 +560,9 @@ pub struct WorkerReport {
 /// The shard-drain loop: until `stop` says so or the coordinator reports
 /// the run finished, lease a shard, evaluate it with [`evaluate_points`]
 /// (on the context `ctx_for(quick)` returns) while heartbeating its lease,
-/// pause `shard_delay_ms`, and deliver the completion. With nothing to
-/// lease right now it waits the reply's `retry_ms` (at least 10 ms).
+/// pause `shard_delay_ms`, and deliver the completion. A reply without a
+/// grant comes back from a held request ([`Coordinator::lease_shard`]), so
+/// the loop leases again at once.
 ///
 /// `stop` is asked before every lease with the tally so far. A lost lease
 /// does not abort an evaluation — the completion is delivered and resolved
@@ -557,7 +585,6 @@ where
             if reply.finished {
                 break;
             }
-            thread::sleep(Duration::from_millis(reply.retry_ms.max(10)));
             continue;
         };
         let ctx = ctx_for(grant.quick);
@@ -578,6 +605,7 @@ where
                 evaluate_points(&ctx, &spec, &grant.points, options)
             })??;
         if config.shard_delay_ms > 0 {
+            #[allow(clippy::disallowed_methods)] // A deliberate pause, not a wait on anything.
             thread::sleep(Duration::from_millis(config.shard_delay_ms));
         }
         let delivered = coordination.complete(&CompleteRequest {
@@ -666,6 +694,7 @@ impl WorkerClient {
         let mut last_error = String::new();
         for attempt in 0..self.transport_retries.max(1) {
             if attempt > 0 {
+                #[allow(clippy::disallowed_methods)] // Backoff before a transport retry.
                 thread::sleep(Duration::from_millis(200));
             }
             let addr = self.addr.as_str();
@@ -734,7 +763,7 @@ impl Coordination for WorkerClient {
 ///
 /// | Request | Body | Meaning |
 /// |---|---|---|
-/// | `POST /lease` | [`LeaseRequest`] | lease the next pending shard |
+/// | `POST /lease` | [`LeaseRequest`] | lease the next pending shard (held while none is) |
 /// | `POST /heartbeat` | [`HeartbeatRequest`] | renew a held lease |
 /// | `POST /shards/{id}/complete` | [`CompleteRequest`] | deliver a shard log |
 /// | `GET /status` | — | [`CoordStatus`] snapshot |
@@ -771,7 +800,7 @@ impl Routes for CoordinatorRoutes {
                 Resolution::Unknown
             }
         };
-        let _ = respond_coordination(stream, request, &resolve);
+        let _ = respond_coordination(stream, request, &resolve, self.0.signal());
     }
 }
 
@@ -794,12 +823,13 @@ pub fn is_coordination_post(method: &str, path: &str) -> bool {
 /// coordinator) or `Unknown` (a mismatched run id — fail fast, the worker
 /// is pointed at the wrong coordinator). The daemon additionally knows
 /// about runs *around* their coordinated phase: `Pending` (admitted but
-/// not yet claimed by a worker — retry soon) and `Finished` (terminal; the
-/// coordinator is gone and the worker should stop).
+/// not yet claimed by a worker — the lease is held until the run moves)
+/// and `Finished` (terminal; the coordinator is gone and the worker should
+/// stop).
 pub enum Resolution {
     /// A live coordinator serves this run.
     Coordinated(Arc<Coordinator>),
-    /// The run exists but is not coordinated *yet*; workers should retry.
+    /// The run exists but is not coordinated *yet*; workers ask again.
     Pending,
     /// The run reached a terminal state; workers should stop draining it.
     Finished,
@@ -813,16 +843,19 @@ pub enum Resolution {
 ///
 /// `resolve` maps the run id a request names to a [`Resolution`]; the
 /// empty string means "any run with pending work". Uncoordinated
-/// resolutions keep workers well-behaved: a `Pending` (or any-run
-/// `Unknown`) lease is told to retry, a `Finished` lease is told the run
-/// is done, a named-run `Unknown` lease is a typed `RunNotFound`, an
-/// uncoordinated heartbeat is answered "lease dead", and an uncoordinated
-/// completion is answered "stale" — the run finished (or died) without
-/// this shard, so the log is dropped.
+/// resolutions keep workers well-behaved: a `Pending` lease is held on
+/// `signal` (which the embedding server bumps whenever a run moves) for at
+/// most [`LEASE_HOLD`], resolved once more and answered; a `Finished` lease
+/// is told the run is done, an any-run `Unknown` lease to ask again, a
+/// named-run `Unknown` lease is a typed `RunNotFound`, an uncoordinated
+/// heartbeat is answered "lease dead", and an uncoordinated completion is
+/// answered "stale" — the run finished (or died) without this shard, so
+/// the log is dropped. Heartbeats and completions are never held.
 pub fn respond_coordination(
     stream: &mut TcpStream,
     request: &Request,
     resolve: &dyn Fn(&str) -> Resolution,
+    signal: &Signal,
 ) -> std::io::Result<()> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -834,9 +867,14 @@ pub fn respond_coordination(
             let idle = |finished: bool| LeaseReply {
                 grant: None,
                 finished,
-                retry_ms: 500,
             };
-            match resolve(&body.run) {
+            let seen = signal.generation();
+            let mut resolution = resolve(&body.run);
+            if matches!(resolution, Resolution::Pending) {
+                signal.wait_past(seen, LEASE_HOLD);
+                resolution = resolve(&body.run);
+            }
+            match resolution {
                 Resolution::Coordinated(coordinator) => {
                     reply_json(stream, coordinator.lease_shard(&body.worker))
                 }
@@ -861,7 +899,7 @@ pub fn respond_coordination(
             };
             match resolve(&body.run) {
                 Resolution::Coordinated(coordinator) => {
-                    reply_json(stream, coordinator.renew(&body))
+                    reply_json(stream, coordinator.heartbeat(&body))
                 }
                 _ => reply_json(
                     stream,
@@ -885,7 +923,7 @@ pub fn respond_coordination(
             };
             match resolve(&body.run) {
                 Resolution::Coordinated(coordinator) => {
-                    reply_json(stream, coordinator.deliver(&body))
+                    reply_json(stream, coordinator.complete(&body))
                 }
                 _ => reply_json(
                     stream,
@@ -996,6 +1034,7 @@ mod tests {
                 &dir,
                 &CoordinatorConfig::default(),
                 Arc::new(LeaseCounters::default()),
+                Arc::new(Signal::default()),
             )
             .unwrap(),
         );
@@ -1042,6 +1081,7 @@ mod tests {
                 &dir,
                 &config,
                 Arc::new(LeaseCounters::default()),
+                Arc::new(Signal::default()),
             )
             .unwrap(),
         );
@@ -1068,6 +1108,85 @@ mod tests {
 
         let merged = stream::merge(&dir).unwrap();
         assert_eq!(merged.scenarios.len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A coordinator over `tiny_spec`'s three scenarios in one shard.
+    fn one_shard(tag: &str, lease_ms: u64) -> (Arc<Coordinator>, PathBuf) {
+        let dir = temp_dir(tag);
+        let config = CoordinatorConfig {
+            shard_size: 3,
+            lease_ms,
+            ..Default::default()
+        };
+        let counters = Arc::new(LeaseCounters::default());
+        let signal = Arc::new(Signal::default());
+        let coordinator = Coordinator::open(
+            "r-hold",
+            &tiny_spec(),
+            true,
+            &dir,
+            &config,
+            counters,
+            signal,
+        );
+        (Arc::new(coordinator.unwrap()), dir)
+    }
+
+    /// `worker`'s lease request, answered on a channel.
+    fn lease_async(coordinator: &Arc<Coordinator>, worker: &str) -> mpsc::Receiver<LeaseReply> {
+        let (answered, reply) = mpsc::channel();
+        let (coordinator, worker) = (coordinator.clone(), worker.to_string());
+        thread::spawn(move || {
+            let _ = answered.send(coordinator.lease_shard(&worker).unwrap());
+        });
+        reply
+    }
+
+    #[test]
+    fn a_held_lease_is_answered_finished_when_the_last_shard_completes() {
+        let (coordinator, dir) = one_shard("hold-finish", 600_000);
+        let grant = coordinator.lease_shard("a").unwrap().grant.unwrap();
+        let reply = lease_async(&coordinator, "b");
+        assert!(
+            reply.recv_timeout(Duration::from_millis(200)).is_err(),
+            "b is held while a's lease is live"
+        );
+        let ctx = ExperimentContext::new(true);
+        let (outcomes_jsonl, curve_hits, curve_misses) =
+            evaluate_points(&ctx, &tiny_spec(), &grant.points, SweepOptions::default()).unwrap();
+        let delivered = coordinator
+            .complete(&CompleteRequest {
+                worker: "a".to_string(),
+                run: grant.run,
+                shard: grant.shard,
+                epoch: grant.epoch,
+                outcomes_jsonl,
+                curve_hits,
+                curve_misses,
+            })
+            .unwrap();
+        assert!(delivered.accepted && delivered.finished);
+        let reply = reply
+            .recv_timeout(LEASE_HOLD / 2)
+            .expect("the completion releases b");
+        assert_eq!((reply.grant, reply.finished), (None, true));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_held_lease_takes_over_a_shard_whose_lease_expires() {
+        let (coordinator, dir) = one_shard("hold-expiry", 200);
+        let first = coordinator.lease_shard("a").unwrap().grant.unwrap();
+        assert_eq!(first.epoch, 1);
+        // a never heartbeats: b's one request is held until the lease
+        // expires, then granted the same shard under the next epoch.
+        let reply = lease_async(&coordinator, "b")
+            .recv_timeout(LEASE_HOLD / 2)
+            .expect("the expiry releases b before the hold cap");
+        let grant = reply.grant.expect("the expired shard is re-leased to b");
+        assert_eq!((grant.shard, grant.epoch), (first.shard, 2));
+        assert_eq!(coordinator.telemetry().reinjected, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

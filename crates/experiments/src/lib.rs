@@ -55,7 +55,7 @@ pub use sweep::{
     PlatformAxis, QosAxis, QosPolicy, RmaVariant, ScenarioGrid, ScenarioKey, ScenarioOutcome,
     SweepOptions, SweepResult,
 };
-pub use sync::{LockUnpoisoned, WaitUnpoisoned};
+pub use sync::{LockUnpoisoned, Signal};
 
 /// Identifiers of all experiments, in execution order.
 pub const ALL_EXPERIMENTS: &[&str] = &["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];

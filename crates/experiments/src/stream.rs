@@ -546,8 +546,8 @@ impl ShardScheduler {
     /// Leases the next pending shard to `worker`, first reinjecting any
     /// leases that expired by `now_ms`. Returns `None` when nothing is
     /// pending *right now* — which means finished only if [`finished`]
-    /// also says so; otherwise live leases may yet expire and the caller
-    /// should retry later.
+    /// also says so; otherwise live leases may yet expire (at
+    /// [`earliest_expiry`](ShardScheduler::earliest_expiry)) or complete.
     ///
     /// [`finished`]: ShardScheduler::finished
     pub fn lease(&mut self, worker: &str, now_ms: u64) -> Result<Option<ShardLease>, QosrmError> {
@@ -689,6 +689,14 @@ impl ShardScheduler {
         self.counters.snapshot()
     }
 
+    /// The earliest expiry among live leases: the first instant a shard
+    /// may be reinjected without a completion.
+    pub fn earliest_expiry(&self) -> Option<u64> {
+        let leases = self.manifest.leases.iter();
+        let live = leases.filter(|r| !r.done && r.epoch > 0 && !self.pending.contains(&r.shard));
+        live.map(|record| record.expires_ms).min()
+    }
+
     /// Builds the caller-facing report after `shards_run` local shards.
     pub fn report(&self, shards_run: usize) -> StreamReport {
         StreamReport {
@@ -770,8 +778,9 @@ fn run_pending(
     Ok(coordinator.stream_report(drained.shards_completed as usize))
 }
 
-/// The shard log files of a run directory, sorted by shard index.
-fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, QosrmError> {
+/// The shard log files of a run directory, sorted by shard index. Shard
+/// logs are written atomically, so every file listed is complete.
+pub fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, QosrmError> {
     let mut files = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;

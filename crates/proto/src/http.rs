@@ -5,7 +5,10 @@
 //! protocol needs very little: one request per connection, `Content-Length`
 //! bodies, `Connection: close` responses, and one streaming response shape
 //! (the JSONL outcome tail, which has no length and ends when the socket
-//! closes). The grammar both servers accept:
+//! closes). A response may take a while to start: a server can hold a
+//! request open until it has something to say (a `POST /lease` with no
+//! shard to lease waits for one, for a few seconds at most). The grammar
+//! both servers accept:
 //!
 //! ```text
 //! request  = method SP path ["?" query] SP version CRLF *(header CRLF) CRLF [body]
@@ -37,7 +40,8 @@
 //! with [`check_proto_version`] before parsing the body, so a mixed-version
 //! coordinator/worker pair fails fast with a typed
 //! [`PROTOCOL_MISMATCH_KIND`] error instead of a confusing
-//! malformed-message path deeper in.
+//! malformed-message path deeper in. Revision `qosrm/2` dropped the lease
+//! reply's retry hint, when lease requests began to be held instead.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -58,7 +62,7 @@ pub const PROTO_VERSION_HEADER: &str = "x-qosrm-proto";
 /// The protocol revision this build speaks. Bump it whenever a wire message
 /// changes incompatibly; a coordinator and worker disagreeing on it refuse
 /// each other with a typed error instead of mis-parsing bodies.
-pub const PROTO_VERSION: &str = "qosrm/1";
+pub const PROTO_VERSION: &str = "qosrm/2";
 
 /// `kind` of the typed error a version mismatch produces.
 pub const PROTOCOL_MISMATCH_KIND: &str = "ProtocolMismatch";
@@ -580,8 +584,9 @@ mod tests {
         assert!(check_proto_version(&request_with_version(Some(PROTO_VERSION))).is_ok());
         let missing = check_proto_version(&request_with_version(None)).unwrap_err();
         assert_eq!(missing.error.kind, PROTOCOL_MISMATCH_KIND);
-        let wrong = check_proto_version(&request_with_version(Some("qosrm/0"))).unwrap_err();
+        // The previous revision, whose lease replies carried a retry hint.
+        let wrong = check_proto_version(&request_with_version(Some("qosrm/1"))).unwrap_err();
         assert_eq!(wrong.error.kind, PROTOCOL_MISMATCH_KIND);
-        assert!(wrong.error.message.contains("qosrm/0"));
+        assert!(wrong.error.message.contains("qosrm/1"));
     }
 }

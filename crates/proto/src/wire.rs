@@ -3,9 +3,11 @@
 //! Three request/reply pairs drive the lease protocol:
 //!
 //! * `POST /lease` — [`LeaseRequest`] → [`LeaseReply`]: a worker asks for a
-//!   shard; the coordinator answers with a [`LeaseGrant`] (work), a retry
-//!   hint (nothing pending *right now* — live leases may yet expire), or
-//!   `finished` (the run is complete, the worker may exit).
+//!   shard; the coordinator answers with a [`LeaseGrant`] (work) or
+//!   `finished` (the run is complete, the worker may exit). With nothing
+//!   pending it holds the request until a completion, a lease expiry or a
+//!   run transition — at most a few seconds — and may then answer with
+//!   neither, whereupon the worker asks again at once.
 //! * `POST /heartbeat` — [`HeartbeatRequest`] → [`HeartbeatReply`]: renews a
 //!   held lease before it expires.
 //! * `POST /shards/{id}/complete` — [`CompleteRequest`] → [`CompleteReply`]:
@@ -61,16 +63,15 @@ pub struct LeaseGrant {
     pub serial: bool,
 }
 
-/// Coordinator → worker: answer to a lease request.
+/// Coordinator → worker: answer to a (possibly held) lease request. With
+/// neither a grant nor `finished`, the hold ended without work for this
+/// worker (all remaining shards are leased to others) and it asks again.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LeaseReply {
     /// The granted shard, if any shard was pending.
     pub grant: Option<LeaseGrant>,
     /// True once every shard of the run is complete; the worker may exit.
     pub finished: bool,
-    /// When `grant` is absent and `finished` is false (all remaining shards
-    /// are leased to other workers), how long to wait before asking again.
-    pub retry_ms: u64,
 }
 
 /// Worker → coordinator: renew a held lease.
@@ -217,7 +218,6 @@ mod tests {
         let reply = LeaseReply {
             grant: Some(grant),
             finished: false,
-            retry_ms: 250,
         };
         let json = serde_json::to_string(&reply).unwrap();
         let back: LeaseReply = serde_json::from_str(&json).unwrap();
@@ -226,7 +226,6 @@ mod tests {
         let idle = LeaseReply {
             grant: None,
             finished: true,
-            retry_ms: 0,
         };
         let json = serde_json::to_string(&idle).unwrap();
         let back: LeaseReply = serde_json::from_str(&json).unwrap();

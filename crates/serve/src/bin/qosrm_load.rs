@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Submits `clients × per-client` specs (cycling over `distinct` derived
-//! variants of the base spec), streams outcomes, waits for completion, and
-//! byte-compares every run's merged result across reader threads. Exits
+//! variants of the base spec), waits for each submitted run by streaming
+//! its outcomes to the end, and byte-compares every run's merged result
+//! across reader threads. Exits
 //! nonzero if any run fails, any reader observes different bytes, or any
 //! rejection other than the configured queue bound occurs. `--result`
 //! writes variant 0's merged bytes (for `cmp` against an offline

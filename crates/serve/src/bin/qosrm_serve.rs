@@ -70,7 +70,7 @@ fn main() {
             // handling on purpose — durable state makes SIGKILL safe, and
             // the CI smoke exercises exactly that.
             loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
+                std::thread::park();
             }
         }
         Err(e) => {

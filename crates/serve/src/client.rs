@@ -110,9 +110,11 @@ impl Client {
         self.json("GET", "/stats")
     }
 
-    /// Streams outcome lines starting at `from`, feeding each complete
-    /// JSONL line to `sink`, until the daemon closes the tail (the run
-    /// reached a terminal state). Returns the number of lines received.
+    /// Streams outcome lines, skipping the first `from`, feeding each
+    /// complete JSONL line to `sink`, until the daemon closes the tail —
+    /// which it does exactly when the run is terminal (or the daemon
+    /// stops). Every outcome arrives once (a finished run's in shard order).
+    /// Returns the number of lines received.
     pub fn stream(
         &self,
         run_id: &str,

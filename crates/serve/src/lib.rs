@@ -24,12 +24,12 @@
 //! | `POST /runs?quick=&shard_size=` (body: spec JSON) | submit; 202 = admitted, 200 = deduplicated, 429 = queue full |
 //! | `GET /runs` | list run statuses |
 //! | `GET /runs/{id}` | one run's status |
-//! | `GET /runs/{id}/stream?from=N` | JSONL tail of completed outcomes |
+//! | `GET /runs/{id}/stream?from=N` | JSONL tail of completed outcomes, each sent once, closed when the run is terminal |
 //! | `GET /runs/{id}/result` | merged result (409 until complete) |
 //! | `POST /runs/{id}/cancel` | cancel (honoured between shards) |
 //! | `GET /stats` | queue, counters, curve-cache and lease telemetry |
 //! | `GET /healthz` | liveness |
-//! | `POST /lease` | lease the next pending shard to an external worker |
+//! | `POST /lease` | lease the next pending shard to an external worker (held while none is) |
 //! | `POST /heartbeat` | renew a held shard lease |
 //! | `POST /shards/{id}/complete` | deliver a finished shard's outcome log |
 //! | `GET /status` | coordination snapshot of the active run |

@@ -117,7 +117,9 @@ pub struct LoadReport {
     /// Transport-level retries (connection refused/reset — e.g. the
     /// daemon restart window of the kill smoke).
     pub transport_retries: u64,
-    /// Outcome lines received over `/stream` across all threads.
+    /// Outcome lines received over `/stream` across all threads: each
+    /// thread tails every run it submitted to its end, so this is the sum
+    /// over threads of their runs' outcome counts.
     pub outcomes_streamed: u64,
     /// Distinct runs the plan mapped to.
     pub distinct_runs: usize,
@@ -196,9 +198,9 @@ pub fn execute(
     (report, ordered)
 }
 
-/// One client thread: submits its share of the plan, streams outcomes of
-/// its first run, waits for every submitted run to finish and byte-checks
-/// the merged results.
+/// One client thread: submits its share of the plan, waits for every
+/// submitted run by streaming its outcomes to the end, and byte-checks the
+/// merged results.
 fn client_thread(
     addr: SocketAddr,
     thread_no: usize,
@@ -240,6 +242,7 @@ fn client_thread(
                         );
                         return;
                     }
+                    #[allow(clippy::disallowed_methods)] // Backoff before resubmitting.
                     thread::sleep(Duration::from_millis(100));
                 }
                 Err(ClientError::Transport(detail)) => {
@@ -253,6 +256,7 @@ fn client_thread(
                         );
                         return;
                     }
+                    #[allow(clippy::disallowed_methods)] // Backoff before a transport retry.
                     thread::sleep(Duration::from_millis(200));
                 }
                 Err(e) => {
@@ -263,63 +267,40 @@ fn client_thread(
         }
     }
 
-    // Stream the first run's outcomes while it executes (tolerating the
-    // restart window: a dropped tail reconnects from its cursor).
-    if let Some(first) = my_runs.first().cloned() {
-        let cursor = 0usize;
-        loop {
-            match client.stream(&first, cursor, |_| {}) {
-                Ok(count) => {
-                    bump(shared, |r| r.outcomes_streamed += count as u64);
-                    break;
-                }
-                Err(ClientError::Transport(_)) => {
-                    if std::time::Instant::now() > deadline {
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(200));
-                }
-                Err(_) => break,
-            }
-        }
-    }
-
-    // Wait for every submitted run to reach a terminal state, then fetch
-    // and cross-check its bytes.
+    // Wait for every submitted run: tail its stream to the end (the daemon
+    // closes a tail exactly when the run is terminal), then confirm with one
+    // status read. A daemon kill ends a tail too, so a run still live then
+    // is tailed again, from the lines already received.
     for id in my_runs {
+        let mut received = 0usize;
         loop {
-            match client.status(&id) {
-                Ok(status) => match status.state.as_str() {
-                    "complete" => break,
-                    "cancelled" | "failed" => {
-                        fail(shared, format!("{name}: run {id} ended {}", status.state));
-                        return;
-                    }
-                    _ => {
-                        if std::time::Instant::now() > deadline {
-                            fail(shared, format!("{name}: run {id} did not finish in time"));
-                            return;
-                        }
-                        thread::sleep(Duration::from_millis(100));
-                    }
-                },
+            let tailed = client.stream(&id, received, |_| {}).and_then(|lines| {
+                received += lines;
+                client.status(&id)
+            });
+            match tailed {
+                Ok(status) if status.state == "complete" => break,
+                Ok(status) if status.state == "cancelled" || status.state == "failed" => {
+                    fail(shared, format!("{name}: run {id} ended {}", status.state));
+                    return;
+                }
+                Ok(_) | Err(ClientError::Transport(_)) if std::time::Instant::now() > deadline => {
+                    fail(shared, format!("{name}: run {id} did not finish in time"));
+                    return;
+                }
+                Ok(_) => {}
                 Err(ClientError::Transport(_)) => {
                     bump(shared, |r| r.transport_retries += 1);
-                    if std::time::Instant::now() > deadline {
-                        fail(
-                            shared,
-                            format!("{name}: daemon unreachable waiting on {id}"),
-                        );
-                        return;
-                    }
+                    #[allow(clippy::disallowed_methods)] // Backoff before a transport retry.
                     thread::sleep(Duration::from_millis(200));
                 }
                 Err(e) => {
-                    fail(shared, format!("{name}: status of {id} failed: {e}"));
+                    fail(shared, format!("{name}: waiting on {id} failed: {e}"));
                     return;
                 }
             }
         }
+        bump(shared, |r| r.outcomes_streamed += received as u64);
         match client.result(&id) {
             Ok(bytes) => {
                 let mut results = shared.results.lock_unpoisoned();

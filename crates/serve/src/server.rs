@@ -19,6 +19,12 @@
 //! `POST /heartbeat` / `POST /shards/{id}/complete` and drain the same
 //! per-run shard queue the in-process workers draw from.
 //!
+//! Nothing waits on a timer: one daemon-wide [`experiments::Signal`],
+//! bumped by every accepted completion (all coordinators share it), run
+//! transition, cancel and shutdown, holds `POST /lease` requests with no
+//! shard to lease (up to [`experiments::dist::LEASE_HOLD`]) and wakes
+//! `/stream` tails, which send each newly landed shard log once.
+//!
 //! ## Backpressure
 //!
 //! Admission is bounded: at most [`ServeConfig::max_queue`] runs may be
@@ -38,25 +44,25 @@ use crate::http::{
 use crate::state::{RegistryInner, RunMeta, RunState, RunTallies, ServeCounters, RUN_META_FILE};
 use experiments::dist::{self, Coordinator, CoordinatorConfig, WorkerConfig};
 use experiments::{
-    ExperimentContext, LeaseCounters, LockUnpoisoned, ScenarioSpec, SweepManifest, SweepOptions,
-    WaitUnpoisoned,
+    ExperimentContext, LeaseCounters, LockUnpoisoned, ScenarioSpec, Signal, SweepManifest,
+    SweepOptions,
 };
 use qosrm_core::RmaWorkCounters;
 use qosrm_proto::LeaseTelemetry;
 use qosrm_types::QosrmError;
 use serde::{Deserialize, Serialize};
 use simdb::StoreCounters;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Configuration of a daemon instance.
+/// Configuration of a daemon instance (no value paces a wait).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address (`127.0.0.1:0` picks an ephemeral port).
@@ -79,8 +85,6 @@ pub struct ServeConfig {
     /// Evaluate scenarios serially within each run (deterministic counter
     /// sequencing for benchmarks; memoization stays on).
     pub serial: bool,
-    /// Poll interval of `/stream` tails and worker cancellation checks.
-    pub poll_interval_ms: u64,
     /// Artificial pause of the in-process workers between evaluating a
     /// shard and delivering it (0 in production; tests and demos use it for
     /// slow shards, to exercise mid-run cancellation and kill windows
@@ -105,7 +109,6 @@ impl Default for ServeConfig {
             max_payload_bytes: 1024 * 1024,
             default_shard_size: 8,
             serial: false,
-            poll_interval_ms: 25,
             shard_delay_ms: 0,
             lease_ms: 30_000,
             verbose: false,
@@ -252,7 +255,6 @@ const WORKER_PREFIX: &str = "qosrm-serve-worker-";
 struct Shared {
     config: ServeConfig,
     registry: Mutex<RegistryInner>,
-    work: Condvar,
     counters: ServeCounters,
     contexts: Mutex<HashMap<bool, Arc<ExperimentContext>>>,
     /// One coordinator per *live* (Running) run, shared between the worker
@@ -262,6 +264,8 @@ struct Shared {
     /// Lease-protocol telemetry, shared by every coordinator the daemon
     /// opens (process-lifetime, reported on `/stats`).
     lease_counters: Arc<LeaseCounters>,
+    /// The change signal of every coordinator, hold and tail.
+    signal: Arc<Signal>,
     shutdown: AtomicBool,
 }
 
@@ -362,17 +366,14 @@ impl Shared {
             drop(registry);
             let _ = meta.save(&self.run_dir(id));
             self.log(&format!("run {id} -> {}", state.label()));
+            self.signal.bump();
         }
     }
 
     /// The registry state of a run right now.
     fn state_of(&self, id: &str) -> Option<RunState> {
-        self.registry
-            .lock()
-            .unwrap()
-            .runs
-            .get(id)
-            .map(|meta| meta.state)
+        let registry = self.registry.lock_unpoisoned();
+        registry.runs.get(id).map(|meta| meta.state)
     }
 }
 
@@ -413,11 +414,11 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             registry: Mutex::new(RegistryInner::default()),
-            work: Condvar::new(),
             counters: ServeCounters::default(),
             contexts: Mutex::new(HashMap::new()),
             coordinators: Mutex::new(HashMap::new()),
             lease_counters: Arc::new(LeaseCounters::default()),
+            signal: Arc::new(Signal::default()),
             shutdown: AtomicBool::new(false),
         });
         fs::create_dir_all(shared.runs_root())?;
@@ -451,14 +452,14 @@ impl Server {
     }
 
     /// Stops the front end and workers and joins them. In-flight shards
-    /// finish; queued runs stay durably queued for the next start.
+    /// finish; queued runs stay durably queued for the next start. Held
+    /// lease requests and stream tails are released at once.
     pub fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let mut registry = self.shared.registry.lock_unpoisoned();
-            registry.shutdown = true;
+        for coordinator in self.shared.coordinators.lock_unpoisoned().values() {
+            coordinator.close();
         }
-        self.shared.work.notify_all();
+        self.shared.signal.bump();
         if let Some(front) = self.front.take() {
             front.stop();
         }
@@ -475,6 +476,7 @@ fn bind_with_retry(addr: &str) -> Result<TcpListener, QosrmError> {
             Ok(listener) => return Ok(listener),
             Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
                 last_err = Some(e);
+                #[allow(clippy::disallowed_methods)] // Backoff until the old socket is released.
                 thread::sleep(Duration::from_millis(250));
             }
             Err(e) => return Err(QosrmError::Io(format!("cannot bind {addr}: {e}"))),
@@ -517,8 +519,6 @@ fn recover_runs(shared: &Arc<Shared>) -> Result<(), QosrmError> {
         }
         registry.runs.insert(meta.id.clone(), meta);
     }
-    drop(registry);
-    shared.work.notify_all();
     Ok(())
 }
 
@@ -577,7 +577,7 @@ fn handle_coordination(
         }
         if run.is_empty() {
             // No live coordinator right now, but a submission may arrive
-            // any moment: any-run workers stay attached and retry.
+            // any moment: any-run workers are held and stay attached.
             return dist::Resolution::Pending;
         }
         match shared.state_of(run) {
@@ -588,7 +588,7 @@ fn handle_coordination(
             None => dist::Resolution::Unknown,
         }
     };
-    dist::respond_coordination(stream, request, &resolve)
+    dist::respond_coordination(stream, request, &resolve, &shared.signal)
 }
 
 fn handle_submit(
@@ -681,7 +681,7 @@ fn handle_submit(
             (202, "Accepted", status)
         }
     };
-    shared.work.notify_one();
+    shared.signal.bump();
     let (status, reason, payload) = response;
     let body = serde_json::to_string(&payload).unwrap_or_else(|_| "{}".to_string());
     write_json(stream, status, reason, &body)
@@ -694,8 +694,19 @@ fn handle_list(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
         metas.sort_by(|a, b| a.id.cmp(&b.id));
         metas.iter().map(|meta| shared.status_of(meta)).collect()
     };
-    let body = serde_json::to_string(&statuses).unwrap_or_else(|_| "[]".to_string());
+    write_ok(stream, &statuses)
+}
+
+/// Answers 200 with `value` as JSON.
+fn write_ok<T: Serialize>(stream: &mut TcpStream, value: &T) -> std::io::Result<()> {
+    let body = serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string());
     write_json(stream, 200, "OK", &body)
+}
+
+/// Answers the typed 404 of an unknown run id.
+fn run_not_found(stream: &mut TcpStream, id: &str) -> std::io::Result<()> {
+    let error = WireError::new("RunNotFound", format!("no run with id {id}"));
+    write_error(stream, 404, "Not Found", &error)
 }
 
 fn handle_status(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
@@ -704,22 +715,16 @@ fn handle_status(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::
         registry.runs.get(id).map(|meta| shared.status_of(meta))
     };
     match status {
-        Some(status) => {
-            let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
-            write_json(stream, 200, "OK", &body)
-        }
-        None => write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        ),
+        Some(status) => write_ok(stream, &status),
+        None => run_not_found(stream, id),
     }
 }
 
 /// Streams completed outcome lines as JSONL, tailing the run until it
-/// reaches a terminal state. `?from=N` skips the first `N` lines (a client
-/// reconnecting after a daemon restart resumes its cursor).
+/// reaches a terminal state. Each shard log is sent once, in shard-index
+/// order among the logs present at each wake (for a finished run: all of
+/// them); `?from=N` skips the first `N` lines of that sequence (a client
+/// reconnecting after a daemon restart resumes its count).
 fn handle_stream(
     stream: &mut TcpStream,
     shared: &Shared,
@@ -727,85 +732,59 @@ fn handle_stream(
     request: &Request,
 ) -> std::io::Result<()> {
     if shared.state_of(id).is_none() {
-        return write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        );
+        return run_not_found(stream, id);
     }
-    let mut cursor = request
+    let mut skip = request
         .query_param("from")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(0);
     write_stream_head(stream, "application/jsonl")?;
     let dir = shared.run_dir(id);
-    // State first, lines second: if the state was already terminal, the
-    // lines read below are guaranteed complete.
-    while let Some(state) = shared.state_of(id) {
-        let lines = outcome_lines(&dir);
-        if lines.len() > cursor {
-            let mut chunk = String::new();
-            for line in &lines[cursor..] {
+    let mut sent: HashSet<PathBuf> = HashSet::new();
+    loop {
+        // Generation first, state second, lines third: a change after the
+        // generation read ends the wait below, and a state already terminal
+        // here guarantees the logs listed after it are all there are.
+        let seen = shared.signal.generation();
+        let Some(state) = shared.state_of(id) else {
+            break;
+        };
+        let mut chunk = String::new();
+        let mut lines = 0u64;
+        for file in experiments::stream::shard_files(&dir).unwrap_or_default() {
+            if sent.contains(&file) {
+                continue;
+            }
+            let Ok(text) = fs::read_to_string(&file) else {
+                continue;
+            };
+            sent.insert(file);
+            for line in text.lines().filter(|line| !line.trim().is_empty()) {
+                if skip > 0 {
+                    skip -= 1;
+                    continue;
+                }
                 chunk.push_str(line);
                 chunk.push('\n');
+                lines += 1;
             }
-            ServeCounters::add(
-                &shared.counters.outcomes_streamed,
-                (lines.len() - cursor) as u64,
-            );
-            cursor = lines.len();
+        }
+        if lines > 0 {
+            ServeCounters::add(&shared.counters.outcomes_streamed, lines);
             stream.write_all(chunk.as_bytes())?;
             stream.flush()?;
         }
         if state.is_terminal() || shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        thread::sleep(Duration::from_millis(shared.config.poll_interval_ms));
+        shared.signal.wait_past(seen, Duration::MAX);
     }
     Ok(())
 }
 
-/// All completed outcome lines of a run directory, in shard order. Shard
-/// logs are written atomically, so any visible file is complete.
-fn outcome_lines(dir: &Path) -> Vec<String> {
-    let mut files: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                let name = p.file_name().map(|n| n.to_string_lossy().into_owned());
-                name.map(|n| n.starts_with("shard-") && n.ends_with(".jsonl"))
-                    .unwrap_or(false)
-            })
-            .collect(),
-        Err(_) => return Vec::new(),
-    };
-    files.sort();
-    let mut lines = Vec::new();
-    for file in files {
-        if let Ok(text) = fs::read_to_string(&file) {
-            lines.extend(
-                text.lines()
-                    .filter(|l| !l.trim().is_empty())
-                    .map(String::from),
-            );
-        }
-    }
-    lines
-}
-
 fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
-    let state = match shared.state_of(id) {
-        Some(state) => state,
-        None => {
-            return write_error(
-                stream,
-                404,
-                "Not Found",
-                &WireError::new("RunNotFound", format!("no run with id {id}")),
-            )
-        }
+    let Some(state) = shared.state_of(id) else {
+        return run_not_found(stream, id);
     };
     if state != RunState::Complete {
         return write_error(
@@ -839,43 +818,33 @@ fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::
 }
 
 fn handle_cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
-    let status = {
-        let mut registry = shared.registry.lock_unpoisoned();
-        match registry.runs.get(id).map(|meta| meta.state) {
-            None => None,
-            Some(state) => {
-                if state == RunState::Queued {
-                    registry.queue.remove(id);
-                }
-                if !state.is_terminal() {
-                    let meta = registry.runs.get_mut(id).unwrap();
-                    meta.state = RunState::Cancelled;
-                    let snapshot = meta.clone();
-                    ServeCounters::bump(&shared.counters.runs_cancelled);
-                    drop(registry);
-                    let _ = snapshot.save(&shared.run_dir(id));
-                    shared.log(&format!("run {id} -> cancelled"));
-                    Some(shared.status_of(&snapshot))
-                } else {
-                    let meta = registry.runs.get(id).unwrap().clone();
-                    drop(registry);
-                    Some(shared.status_of(&meta))
-                }
-            }
-        }
+    let mut guard = shared.registry.lock_unpoisoned();
+    let registry = &mut *guard;
+    let Some(meta) = registry.runs.get_mut(id) else {
+        drop(guard);
+        return run_not_found(stream, id);
     };
-    match status {
-        Some(status) => {
-            let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
-            write_json(stream, 200, "OK", &body)
-        }
-        None => write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        ),
+    let cancel = !meta.state.is_terminal();
+    if meta.state == RunState::Queued {
+        registry.queue.remove(id);
     }
+    if cancel {
+        meta.state = RunState::Cancelled;
+        ServeCounters::bump(&shared.counters.runs_cancelled);
+    }
+    let meta = meta.clone();
+    drop(guard);
+    if cancel {
+        let _ = meta.save(&shared.run_dir(id));
+        shared.log(&format!("run {id} -> cancelled"));
+        // Stop serving the run's leases: external workers pinned to it
+        // resolve it as finished, and a worker held on it is released.
+        if let Some(coordinator) = shared.coordinators.lock_unpoisoned().remove(id) {
+            coordinator.close();
+        }
+        shared.signal.bump();
+    }
+    write_ok(stream, &shared.status_of(&meta))
 }
 
 fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
@@ -958,33 +927,38 @@ fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> 
         rma,
         leases: shared.lease_counters.snapshot(),
     };
-    let body = serde_json::to_string(&report).unwrap_or_else(|_| "{}".to_string());
-    write_json(stream, 200, "OK", &body)
+    write_ok(stream, &report)
 }
 
 /// Worker: claims queued runs and executes them shard by shard, honouring
 /// cancellation and shutdown at every shard boundary.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
+        // Generation first: a submission after the queue check moves it.
+        let seen = shared.signal.generation();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         let claimed = {
             let mut registry = shared.registry.lock_unpoisoned();
             loop {
-                if registry.shutdown {
-                    break None;
-                }
-                if let Some(id) = registry.queue.pop() {
+                match registry.queue.pop() {
                     // A cancellation may have raced the pop.
-                    match registry.runs.get(&id).map(|meta| meta.state) {
-                        Some(RunState::Queued) => break Some(id),
-                        _ => continue,
-                    }
+                    Some(id)
+                        if registry.runs.get(&id).map(|m| m.state) != Some(RunState::Queued) => {}
+                    claimed => break claimed,
                 }
-                registry = shared.work.wait_unpoisoned(registry);
             }
         };
-        let Some(id) = claimed else { return };
-        shared.set_state(&id, RunState::Running, None);
-        execute_run(shared, &id);
+        match claimed {
+            Some(id) => {
+                shared.set_state(&id, RunState::Running, None);
+                execute_run(shared, &id);
+            }
+            None => {
+                shared.signal.wait_past(seen, Duration::MAX);
+            }
+        }
     }
 }
 
@@ -1009,7 +983,6 @@ fn execute_run(shared: &Shared, id: &str) {
     let config = CoordinatorConfig {
         shard_size: meta.shard_size,
         lease_ms: shared.config.lease_ms.max(100),
-        retry_ms: shared.config.poll_interval_ms.max(10),
         serial: shared.config.serial,
         verbose: false,
         reclaim_prefix: WORKER_PREFIX.to_string(),
@@ -1021,6 +994,7 @@ fn execute_run(shared: &Shared, id: &str) {
         &dir,
         &config,
         shared.lease_counters.clone(),
+        shared.signal.clone(),
     ) {
         Ok(coordinator) => Arc::new(coordinator),
         Err(e) => return fail_run(shared, id, &e),
@@ -1029,6 +1003,9 @@ fn execute_run(shared: &Shared, id: &str) {
         .coordinators
         .lock_unpoisoned()
         .insert(id.to_string(), coordinator.clone());
+    // Leases held while the run was `Running` without a coordinator (the
+    // state moves first) can now resolve it.
+    shared.signal.bump();
     let worker = WorkerConfig {
         worker: thread::current()
             .name()
@@ -1042,26 +1019,29 @@ fn execute_run(shared: &Shared, id: &str) {
     let drained = dist::drain(&*coordinator, &worker, &mut |_| &*ctx, &mut |_| {
         shutting_down() || shared.state_of(id) != Some(RunState::Running)
     });
+    // The run leaves Running (terminal, re-queued, or failed): stop serving
+    // its leases first, so a lease held until the transition below resolves
+    // the run's new state. Late external completions resolve as stale.
+    shared.coordinators.lock_unpoisoned().remove(id);
     // Only transition a run nothing else (a racing cancel) already moved.
     match drained {
         Err(e) => fail_run(shared, id, &e),
         Ok(_) if shared.state_of(id) != Some(RunState::Running) => {}
+        // Count before the transition: whoever sees the run terminal
+        // (a stream tail ends on it) must see it counted on `/stats`.
         Ok(_) if coordinator.finished() => {
-            shared.set_state(id, RunState::Complete, None);
             ServeCounters::bump(&shared.counters.runs_completed);
+            shared.set_state(id, RunState::Complete, None);
         }
         // Stopped by shutdown: leave the run re-queueable for the next
         // start.
         Ok(_) => shared.set_state(id, RunState::Queued, None),
     }
-    // The run left Running (terminal, re-queued, or failed): stop serving
-    // leases for it. Late external completions resolve as stale.
-    shared.coordinators.lock_unpoisoned().remove(id);
 }
 
 fn fail_run(shared: &Shared, id: &str, e: &QosrmError) {
     if shared.state_of(id) == Some(RunState::Running) {
-        shared.set_state(id, RunState::Failed, Some(e.to_string()));
         ServeCounters::bump(&shared.counters.runs_failed);
+        shared.set_state(id, RunState::Failed, Some(e.to_string()));
     }
 }

@@ -220,8 +220,6 @@ pub struct RegistryInner {
     pub runs: HashMap<String, RunMeta>,
     /// Admitted runs waiting for a worker.
     pub queue: FairQueue,
-    /// Set once on shutdown; workers drain and exit.
-    pub shutdown: bool,
 }
 
 /// Per-state tallies of the registry, reported on `/stats`.

@@ -1,15 +1,25 @@
 //! Protocol-level integration coverage of the daemon: typed rejections
-//! (torn, oversized, invalid-spec, queue-full), dedup, cancellation, and
-//! the byte-identity of daemon results with the offline sweep path.
+//! (torn, oversized, invalid-spec, queue-full), dedup, cancellation, held
+//! leases, and the byte-identity of daemon results with the offline sweep
+//! path.
+//!
+//! Nothing here waits on a timer: the tests wait on the daemon's own
+//! events — a run's `/stream` closes exactly when the run is terminal, and
+//! its first line lands with the first completed shard — and bound the
+//! waits that must be short with a channel timeout.
 
+use experiments::dist::{Coordination, WorkerClient, LEASE_HOLD};
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
+use experiments::sweep::ScenarioOutcome;
 use experiments::{ExperimentContext, QosAxis, RmaVariant, ScenarioSpec, SweepOptions};
-use qosrm_serve::{Client, ClientError, ServeConfig, Server};
+use qosrm_serve::{Client, ClientError, RunMeta, RunState, ServeConfig, Server};
 use qosrm_types::{FreqLevel, PlatformConfig, QosSpec};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Duration;
 use workload::{MixPopulation, SynthSpec};
 
 fn tiny_spec(name: &str, seed: u64, count: usize) -> ScenarioSpec {
@@ -53,16 +63,56 @@ fn start(tag: &str, config: ServeConfig) -> (Server, Client, PathBuf) {
     (server, client, dir)
 }
 
+/// Reads the run's stream to its end — the daemon closes a tail exactly
+/// when the run is terminal — and returns the state it settled in.
 fn wait_terminal(client: &Client, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let status = client.status(id).expect("status");
-        if matches!(status.state.as_str(), "complete" | "cancelled" | "failed") {
-            return status.state;
-        }
-        assert!(Instant::now() < deadline, "run {id} did not settle");
-        std::thread::sleep(Duration::from_millis(50));
+    // A run may build its databases before its first line lands.
+    let patient = client.clone().with_timeout(Duration::from_secs(120));
+    patient.stream(id, 0, |_| {}).expect("stream");
+    let state = client.status(id).expect("status").state;
+    assert!(
+        matches!(state.as_str(), "complete" | "cancelled" | "failed"),
+        "the stream of run {id} ended while it was {state}"
+    );
+    state
+}
+
+/// Opens `/runs/{id}/stream` on a raw connection and returns its reader
+/// once the response head is read: from then on the daemon tails the run.
+fn tail(addr: SocketAddr, id: &str) -> BufReader<TcpStream> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    write!(stream, "GET /runs/{id}/stream HTTP/1.0\r\n\r\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    while line != "\r\n" {
+        line.clear();
+        let read = reader.read_line(&mut line).unwrap();
+        assert!(read > 0, "the stream head is complete");
     }
+    reader
+}
+
+/// Blocks until the run's first outcome line is streamed, i.e. its first
+/// shard completed.
+fn first_outcome(addr: SocketAddr, id: &str) {
+    let mut line = String::new();
+    tail(addr, id).read_line(&mut line).unwrap();
+    assert!(line.ends_with('\n'), "an outcome line, not the tail's end");
+}
+
+/// Runs `work` on a thread of its own and returns its result, failing the
+/// test unless it finishes within `bound`.
+fn within<T: Send + 'static>(bound: Duration, work: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(work());
+    });
+    result
+        .recv_timeout(bound)
+        .expect("finished within its bound")
 }
 
 #[test]
@@ -199,12 +249,8 @@ fn queue_bound_rejects_with_queue_full_and_fairness_is_per_client() {
 
     let (created, first) = client.submit(&a, "alice", true, 1).unwrap();
     assert!(created);
-    // Wait until the worker claims the first run so the queue is empty.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while client.status(&first.id).unwrap().state == "queued" {
-        assert!(Instant::now() < deadline);
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    // Wait until the worker runs the first run so the queue is empty.
+    first_outcome(server.addr(), &first.id);
     let (created, _second) = client.submit(&b, "alice", true, 1).unwrap();
     assert!(created, "queue has room for exactly one");
     let err = client.submit(&c, "bob", true, 1).unwrap_err();
@@ -309,15 +355,7 @@ fn cancel_mid_run_settles_as_cancelled_and_stream_terminates() {
     let id = status.id;
 
     // Wait for the run to be mid-execution (at least one shard done).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = client.status(&id).unwrap();
-        if status.state == "running" && status.completed_scenarios >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "run never got going");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    first_outcome(server.addr(), &id);
     let cancelled = client.cancel(&id).unwrap();
     assert_eq!(cancelled.state, "cancelled");
 
@@ -325,14 +363,14 @@ fn cancel_mid_run_settles_as_cancelled_and_stream_terminates() {
     let lines = client.stream(&id, 0, |_| {}).unwrap();
     assert!(lines < 4, "cancel must stop the run before completion");
 
-    // The state is terminal and sticks (the worker must not overwrite it
-    // with complete).
-    std::thread::sleep(Duration::from_millis(700));
-    assert_eq!(client.status(&id).unwrap().state, "cancelled");
-
     // Cancelling a terminal run is a no-op.
     assert_eq!(client.cancel(&id).unwrap().state, "cancelled");
+
+    // The state is terminal and sticks: once `stop` has joined the worker,
+    // the durable record still says cancelled, not complete.
     server.stop();
+    let meta = RunMeta::load(&dir.join("runs").join(&id)).unwrap();
+    assert_eq!(meta.state, RunState::Cancelled);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -429,15 +467,7 @@ fn restart_recovers_runs_and_dedups_resubmissions() {
     // Let it make partial progress, then stop the daemon (stop() finishes
     // the in-flight shard and re-queues — the durable analogue of a kill
     // with at least one shard on disk).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = client.status(&id).unwrap();
-        if status.completed_scenarios >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline);
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    first_outcome(server.addr(), &id);
     server.stop();
 
     // A fresh daemon on the same data dir recovers and finishes the run.
@@ -486,6 +516,14 @@ fn external_workers_drain_the_daemon_lease_queue_alongside_the_pool() {
     let (_, status) = client.submit(&payload, "t", true, 1).unwrap();
     let id = status.id.clone();
 
+    // A tail from before the external worker starts: its shards land ahead
+    // of lower-numbered ones the slow in-process worker still holds.
+    let tailed = tail(server.addr(), &id);
+    let streamed = std::thread::spawn(move || {
+        let lines = tailed.lines().map(|line| line.unwrap());
+        lines.collect::<Vec<String>>()
+    });
+
     let addr = server.addr().to_string();
     let pinned = id.clone();
     let handle = std::thread::spawn(move || {
@@ -503,7 +541,7 @@ fn external_workers_drain_the_daemon_lease_queue_alongside_the_pool() {
     assert!(
         report.shards_completed >= 1,
         "the external worker must win at least one shard against a worker \
-         that sleeps 400 ms per shard: {report:?}"
+         that pauses 400 ms per shard: {report:?}"
     );
 
     let served = client.result(&id).unwrap();
@@ -515,6 +553,18 @@ fn external_workers_drain_the_daemon_lease_queue_alongside_the_pool() {
         serde_json::to_string(&offline).unwrap(),
         "mixed in-process/external execution must byte-match the offline sweep"
     );
+
+    // The tail sent every outcome exactly once, whatever order the shard
+    // logs landed in.
+    let lines = streamed.join().unwrap();
+    let keys: HashSet<String> = lines
+        .iter()
+        .map(|line| {
+            let outcome: ScenarioOutcome = serde_json::from_str(line).unwrap();
+            outcome.key.to_string()
+        })
+        .collect();
+    assert_eq!((lines.len(), keys.len()), (6, 6), "{lines:#?}");
 
     // /stats surfaces the lease telemetry: all six shards completed, the
     // external worker credited by name.
@@ -639,5 +689,54 @@ fn load_generator_sustains_concurrent_clients_with_byte_identical_results() {
         rma.counters
     );
     server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Leases one shard of the 2-shard run `id` to an external worker for
+/// longer than any test, then waits for the daemon's one in-process worker
+/// to land the other: its next lease request is held behind the external
+/// lease.
+fn hold_worker(addr: SocketAddr, id: &str) {
+    let external = WorkerClient::new(&addr.to_string(), 3);
+    // A held request may end without a grant (the run moved, but is not
+    // coordinated yet): ask again, as `drain` does.
+    loop {
+        let reply = external.lease("ext", id).unwrap();
+        assert!(!reply.finished, "the run ended before the external lease");
+        if reply.grant.is_some() {
+            break;
+        }
+    }
+    first_outcome(addr, id);
+}
+
+#[test]
+fn cancel_and_stop_release_an_in_process_worker_held_behind_an_external_lease() {
+    let (mut server, client, dir) = start(
+        "held",
+        ServeConfig {
+            workers: 1,
+            shard_delay_ms: 300,
+            default_shard_size: 1,
+            lease_ms: 600_000,
+            ..Default::default()
+        },
+    );
+    let addr = server.addr();
+    // Two runs over the same mixes, so the second finds its databases warm.
+    let submit = |name: &str| {
+        let payload = serde_json::to_string(&tiny_spec(name, 71, 2)).unwrap();
+        client.submit(&payload, "t", true, 1).unwrap().1.id
+    };
+    let first = submit("held-a");
+    hold_worker(addr, &first);
+    // The second run waits in the queue for the worker held in the first.
+    let next = submit("held-b");
+    assert_eq!(client.cancel(&first).unwrap().state, "cancelled");
+    // Only the cancel releases the worker; it goes on to the second run,
+    // whose first shard lands long before the hold would have ended.
+    within(LEASE_HOLD / 2, move || hold_worker(addr, &next));
+    // Shutdown releases it too: `stop` joins it well inside the hold cap.
+    within(LEASE_HOLD / 2, move || server.stop());
     std::fs::remove_dir_all(&dir).ok();
 }
