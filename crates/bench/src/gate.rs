@@ -23,8 +23,7 @@
 use experiments::dist::{self, Coordinator, CoordinatorConfig, WorkerConfig};
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
 use experiments::{
-    stream, ExperimentContext, LeaseCounters, QosAxis, RmaVariant, ScenarioSpec, SearchConfig,
-    Signal, StreamOptions,
+    stream, ExperimentContext, QosAxis, RmaVariant, ScenarioSpec, SearchConfig, StreamOptions,
 };
 use qosrm_core::{
     best_response, min_energy_equilibrium, optimize_partition_scalar,
@@ -919,17 +918,8 @@ fn run_dist(reps: usize, workers: usize, mixes: usize) -> Measured {
             ..Default::default()
         };
         let ([dist], (coordinator, server, reports)) = timed(|| {
-            let counters = Arc::new(LeaseCounters::default());
-            let signal = Arc::new(Signal::default());
-            let coordinator = Coordinator::open(
-                "dist-bench",
-                &spec,
-                true,
-                &dist_dir,
-                &config,
-                counters,
-                signal,
-            );
+            let hub = Arc::default();
+            let coordinator = Coordinator::open("dist-bench", &spec, true, &dist_dir, &config, hub);
             let coordinator = Arc::new(coordinator.expect("coordinator opens"));
             let server = dist::serve_coordinator("127.0.0.1:0", coordinator.clone())
                 .expect("coordinator listener binds");

@@ -423,19 +423,10 @@ fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), Stri
         verbose: true,
         ..Default::default()
     };
-    let counters = std::sync::Arc::new(experiments::LeaseCounters::default());
-    let signal = std::sync::Arc::new(experiments::Signal::default());
+    let hub = std::sync::Arc::default();
     let coordinator = std::sync::Arc::new(
-        dist::Coordinator::open(
-            &spec.name,
-            &spec,
-            parsed.quick,
-            out,
-            &config,
-            counters,
-            signal,
-        )
-        .map_err(|e| e.to_string())?,
+        dist::Coordinator::open(&spec.name, &spec, parsed.quick, out, &config, hub)
+            .map_err(|e| e.to_string())?,
     );
     let server = dist::serve_coordinator(&addr, coordinator.clone()).map_err(|e| e.to_string())?;
     // Parseable liveness line (the smoke scripts wait for it). Flushed

@@ -108,20 +108,32 @@ impl Default for CoordinatorConfig {
     }
 }
 
+/// What coordinators share: the lease-protocol counters and the change
+/// signal their held lease requests wait on. A daemon shares one across
+/// all of its runs; every other caller opens a coordinator over a fresh
+/// one (`Arc::default()`).
+#[derive(Debug, Default)]
+pub struct CoordinatorHub {
+    /// Lease-protocol telemetry.
+    pub counters: Arc<LeaseCounters>,
+    /// Bumped by every accepted completion (and by whatever else the
+    /// sharing daemon wants held requests to see).
+    pub signal: Signal,
+}
+
 /// The lease-granting side of a sweep: a [`ShardScheduler`] over one run
 /// directory, shared across connection threads, with the lease clock it
-/// reads and the signal its held lease requests wait on.
+/// reads and the hub its held lease requests wait on.
 pub struct Coordinator {
     run: String,
     spec_json: String,
     quick: bool,
     config: CoordinatorConfig,
-    counters: Arc<LeaseCounters>,
+    hub: Arc<CoordinatorHub>,
     scheduler: Mutex<ShardScheduler>,
     /// Milliseconds "now": [`unix_ms`] for a served run, a constant 0 for
     /// the local executor, whose leases never expire.
     clock: fn() -> u64,
-    signal: Arc<Signal>,
     closed: AtomicBool,
 }
 
@@ -133,16 +145,14 @@ impl Coordinator {
     /// must continue the same sweep, not silently start a different one.
     /// Unexpired leases survive the reopen; expired (and single-process
     /// `"local"`) leases are reinjected. Every accepted completion bumps
-    /// `signal`, which a daemon shares across its coordinators like
-    /// `counters`.
+    /// the `hub`'s signal.
     pub fn open(
         run: &str,
         spec: &ScenarioSpec,
         quick: bool,
         dir: &Path,
         config: &CoordinatorConfig,
-        counters: Arc<LeaseCounters>,
-        signal: Arc<Signal>,
+        hub: Arc<CoordinatorHub>,
     ) -> Result<Coordinator, QosrmError> {
         let mut manifest = if dir.join(MANIFEST_FILE).exists() {
             let manifest = SweepManifest::load(dir)?;
@@ -181,7 +191,7 @@ impl Coordinator {
                 }
             }
         }
-        Self::over(run, manifest, dir, config, counters, signal, false)
+        Self::over(run, manifest, dir, config, hub, false)
     }
 
     /// The local executor's coordinator over `dir`: it never reads a clock,
@@ -199,9 +209,7 @@ impl Coordinator {
             ..Default::default()
         };
         let run = manifest.spec.name.clone();
-        let counters = Arc::new(LeaseCounters::default());
-        let signal = Arc::new(Signal::default());
-        Self::over(&run, manifest, dir, &config, counters, signal, true)
+        Self::over(&run, manifest, dir, &config, Arc::default(), true)
     }
 
     fn over(
@@ -209,8 +217,7 @@ impl Coordinator {
         manifest: SweepManifest,
         dir: &Path,
         config: &CoordinatorConfig,
-        counters: Arc<LeaseCounters>,
-        signal: Arc<Signal>,
+        hub: Arc<CoordinatorHub>,
         local: bool,
     ) -> Result<Coordinator, QosrmError> {
         let clock: fn() -> u64 = if local { || 0 } else { unix_ms };
@@ -222,7 +229,7 @@ impl Coordinator {
             dir,
             config.shard_size,
             config.lease_ms,
-            counters.clone(),
+            hub.counters.clone(),
             local,
             clock(),
         )?;
@@ -231,10 +238,9 @@ impl Coordinator {
             spec_json,
             quick,
             config: config.clone(),
-            counters,
+            hub,
             scheduler: Mutex::new(scheduler),
             clock,
-            signal,
             closed: AtomicBool::new(false),
         })
     }
@@ -262,7 +268,7 @@ impl Coordinator {
 
     /// A snapshot of the lease-protocol counters.
     pub fn telemetry(&self) -> LeaseTelemetry {
-        self.counters.snapshot()
+        self.hub.counters.snapshot()
     }
 
     /// The `GET /status` snapshot.
@@ -286,7 +292,7 @@ impl Coordinator {
 
     /// The change signal lease requests are held on.
     pub fn signal(&self) -> &Signal {
-        &self.signal
+        &self.hub.signal
     }
 
     /// Stops holding lease requests. The daemon closes a coordinator (on
@@ -303,7 +309,7 @@ impl Coordinator {
     /// then tried once more and answered, possibly still without a grant.
     pub fn lease_shard(&self, worker: &str) -> Result<LeaseReply, QosrmError> {
         // Generation first: a completion after the attempt moves it.
-        let seen = self.signal.generation();
+        let seen = self.hub.signal.generation();
         let reply = self.try_lease(worker)?;
         if reply.grant.is_some() || reply.finished || self.closed.load(Ordering::SeqCst) {
             return Ok(reply);
@@ -311,7 +317,8 @@ impl Coordinator {
         let expiry = self.scheduler.lock_unpoisoned().earliest_expiry();
         // Saturating: the local executor's leases expire near `u64::MAX / 4`.
         let until = expiry.map_or(u64::MAX, |at| at.saturating_sub((self.clock)()));
-        self.signal
+        self.hub
+            .signal
             .wait_past(seen, LEASE_HOLD.min(Duration::from_millis(until)));
         self.try_lease(worker)
     }
@@ -319,9 +326,9 @@ impl Coordinator {
     /// One scheduler lease attempt, logging what it reinjected and granted.
     fn try_lease(&self, worker: &str) -> Result<LeaseReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
-        let reinjected_before = self.counters.snapshot().reinjected;
+        let reinjected_before = self.hub.counters.snapshot().reinjected;
         let lease = scheduler.lease(worker, (self.clock)())?;
-        let reinjected = self.counters.snapshot().reinjected - reinjected_before;
+        let reinjected = self.hub.counters.snapshot().reinjected - reinjected_before;
         if reinjected > 0 {
             self.log(&format!(
                 "{reinjected} expired lease(s) reinjected into the pending queue"
@@ -419,7 +426,7 @@ impl Coordination for Coordinator {
                 scheduler.total(),
             ));
             // Held lease requests try again: the run may be finished now.
-            self.signal.bump();
+            self.hub.signal.bump();
         } else {
             self.log(&format!(
                 "stale completion of shard {} epoch {} from {} rejected",
@@ -842,11 +849,14 @@ pub enum Resolution {
 /// — tries its own routes first).
 ///
 /// `resolve` maps the run id a request names to a [`Resolution`]; the
-/// empty string means "any run with pending work". Uncoordinated
-/// resolutions keep workers well-behaved: a `Pending` lease is held on
-/// `signal` (which the embedding server bumps whenever a run moves) for at
-/// most [`LEASE_HOLD`], resolved once more and answered; a `Finished` lease
-/// is told the run is done, an any-run `Unknown` lease to ask again, a
+/// empty string means "any run with pending work". An any-run lease held
+/// on a run that finishes meanwhile is answered "ask again", so the worker
+/// is resolved afresh: the daemon never resolves it to a finished run,
+/// which keeps its any-run workers attached. Uncoordinated resolutions keep
+/// workers well-behaved: a `Pending` lease is held on `signal` (which the
+/// embedding server bumps whenever a run moves) for at most
+/// [`LEASE_HOLD`], resolved once more and answered; a `Finished` lease is
+/// told the run is done, an any-run `Unknown` lease to ask again, a
 /// named-run `Unknown` lease is a typed `RunNotFound`, an uncoordinated
 /// heartbeat is answered "lease dead", and an uncoordinated completion is
 /// answered "stale" — the run finished (or died) without this shard, so
@@ -876,7 +886,16 @@ pub fn respond_coordination(
             }
             match resolution {
                 Resolution::Coordinated(coordinator) => {
-                    reply_json(stream, coordinator.lease_shard(&body.worker))
+                    // An any-run lease ends its worker only on a run that was
+                    // finished before it was held: one that finishes during
+                    // the hold sends the worker back to be resolved afresh.
+                    let ends = !body.run.is_empty() || coordinator.finished();
+                    let reply = coordinator.lease_shard(&body.worker);
+                    let reply = reply.map(|reply| LeaseReply {
+                        finished: reply.finished && ends,
+                        ..reply
+                    });
+                    reply_json(stream, reply)
                 }
                 Resolution::Pending => reply_json(stream, Ok(idle(false))),
                 Resolution::Finished => reply_json(stream, Ok(idle(true))),
@@ -1033,8 +1052,7 @@ mod tests {
                 true,
                 &dir,
                 &CoordinatorConfig::default(),
-                Arc::new(LeaseCounters::default()),
-                Arc::new(Signal::default()),
+                Arc::default(),
             )
             .unwrap(),
         );
@@ -1074,16 +1092,8 @@ mod tests {
             ..Default::default()
         };
         let coordinator = Arc::new(
-            Coordinator::open(
-                "r-drain",
-                &tiny_spec(),
-                true,
-                &dir,
-                &config,
-                Arc::new(LeaseCounters::default()),
-                Arc::new(Signal::default()),
-            )
-            .unwrap(),
+            Coordinator::open("r-drain", &tiny_spec(), true, &dir, &config, Arc::default())
+                .unwrap(),
         );
         let server = serve_coordinator("127.0.0.1:0", coordinator.clone()).unwrap();
         let addr = server.addr().to_string();
@@ -1119,17 +1129,8 @@ mod tests {
             lease_ms,
             ..Default::default()
         };
-        let counters = Arc::new(LeaseCounters::default());
-        let signal = Arc::new(Signal::default());
-        let coordinator = Coordinator::open(
-            "r-hold",
-            &tiny_spec(),
-            true,
-            &dir,
-            &config,
-            counters,
-            signal,
-        );
+        let coordinator =
+            Coordinator::open("r-hold", &tiny_spec(), true, &dir, &config, Arc::default());
         (Arc::new(coordinator.unwrap()), dir)
     }
 

@@ -778,9 +778,8 @@ fn run_pending(
     Ok(coordinator.stream_report(drained.shards_completed as usize))
 }
 
-/// The shard log files of a run directory, sorted by shard index. Shard
-/// logs are written atomically, so every file listed is complete.
-pub fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, QosrmError> {
+/// The shard log files of a run directory, sorted by shard index.
+fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, QosrmError> {
     let mut files = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -793,8 +792,10 @@ pub fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, QosrmError> {
     Ok(files)
 }
 
-/// Index to use for the next shard log (max existing index + 1).
-fn next_shard_index(dir: &Path) -> Result<u64, QosrmError> {
+/// Index to use for the next shard log (max existing index + 1). Shard
+/// logs are written atomically, so every log below it that exists is
+/// complete.
+pub fn next_shard_index(dir: &Path) -> Result<u64, QosrmError> {
     Ok(shard_files(dir)?
         .iter()
         .filter_map(|path| {

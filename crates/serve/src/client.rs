@@ -113,8 +113,9 @@ impl Client {
     /// Streams outcome lines, skipping the first `from`, feeding each
     /// complete JSONL line to `sink`, until the daemon closes the tail —
     /// which it does exactly when the run is terminal (or the daemon
-    /// stops). Every outcome arrives once (a finished run's in shard order).
-    /// Returns the number of lines received.
+    /// stops). Every outcome arrives once, in shard order, so a tail cut
+    /// short resumes exactly with `from` = the lines it received. Returns
+    /// the number of lines received.
     pub fn stream(
         &self,
         run_id: &str,

@@ -24,7 +24,7 @@
 //! | `POST /runs?quick=&shard_size=` (body: spec JSON) | submit; 202 = admitted, 200 = deduplicated, 429 = queue full |
 //! | `GET /runs` | list run statuses |
 //! | `GET /runs/{id}` | one run's status |
-//! | `GET /runs/{id}/stream?from=N` | JSONL tail of completed outcomes, each sent once, closed when the run is terminal |
+//! | `GET /runs/{id}/stream?from=N` | JSONL tail of completed outcomes, each sent once in shard order, closed when the run is terminal |
 //! | `GET /runs/{id}/result` | merged result (409 until complete) |
 //! | `POST /runs/{id}/cancel` | cancel (honoured between shards) |
 //! | `GET /stats` | queue, counters, curve-cache and lease telemetry |

@@ -270,11 +270,16 @@ fn client_thread(
     // Wait for every submitted run: tail its stream to the end (the daemon
     // closes a tail exactly when the run is terminal), then confirm with one
     // status read. A daemon kill ends a tail too, so a run still live then
-    // is tailed again, from the lines already received.
+    // is tailed again, from the lines already received. A tail may sit
+    // silent while its run is queued, so only the deadline bounds its reads.
     for id in my_runs {
         let mut received = 0usize;
         loop {
-            let tailed = client.stream(&id, received, |_| {}).and_then(|lines| {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let tail = client
+                .clone()
+                .with_timeout(left.max(Duration::from_millis(1)));
+            let tailed = tail.stream(&id, received, |_| {}).and_then(|lines| {
                 received += lines;
                 client.status(&id)
             });

@@ -20,10 +20,11 @@
 //! per-run shard queue the in-process workers draw from.
 //!
 //! Nothing waits on a timer: one daemon-wide [`experiments::Signal`],
-//! bumped by every accepted completion (all coordinators share it), run
-//! transition, cancel and shutdown, holds `POST /lease` requests with no
-//! shard to lease (up to [`experiments::dist::LEASE_HOLD`]) and wakes
-//! `/stream` tails, which send each newly landed shard log once.
+//! bumped by every accepted completion (all coordinators share it through
+//! one [`CoordinatorHub`]), run transition, cancel and shutdown, holds
+//! `POST /lease` requests with no shard to lease (up to
+//! [`experiments::dist::LEASE_HOLD`]) and wakes `/stream` tails, which send
+//! each shard log once, in shard order.
 //!
 //! ## Backpressure
 //!
@@ -42,17 +43,15 @@ use crate::http::{
     WireError,
 };
 use crate::state::{RegistryInner, RunMeta, RunState, RunTallies, ServeCounters, RUN_META_FILE};
-use experiments::dist::{self, Coordinator, CoordinatorConfig, WorkerConfig};
-use experiments::{
-    ExperimentContext, LeaseCounters, LockUnpoisoned, ScenarioSpec, Signal, SweepManifest,
-    SweepOptions,
-};
+use experiments::dist::{self, Coordinator, CoordinatorConfig, CoordinatorHub, WorkerConfig};
+use experiments::stream::{next_shard_index, shard_file_name};
+use experiments::{ExperimentContext, LockUnpoisoned, ScenarioSpec, SweepManifest, SweepOptions};
 use qosrm_core::RmaWorkCounters;
 use qosrm_proto::LeaseTelemetry;
 use qosrm_types::QosrmError;
 use serde::{Deserialize, Serialize};
 use simdb::StoreCounters;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -261,11 +260,10 @@ struct Shared {
     /// thread executing the run and connection threads serving the
     /// coordination endpoints to external workers.
     coordinators: Mutex<HashMap<String, Arc<Coordinator>>>,
-    /// Lease-protocol telemetry, shared by every coordinator the daemon
-    /// opens (process-lifetime, reported on `/stats`).
-    lease_counters: Arc<LeaseCounters>,
-    /// The change signal of every coordinator, hold and tail.
-    signal: Arc<Signal>,
+    /// Shared by every coordinator the daemon opens: the lease-protocol
+    /// telemetry (process-lifetime, reported on `/stats`) and the change
+    /// signal of every hold, tail and idle pool worker.
+    hub: Arc<CoordinatorHub>,
     shutdown: AtomicBool,
 }
 
@@ -366,7 +364,7 @@ impl Shared {
             drop(registry);
             let _ = meta.save(&self.run_dir(id));
             self.log(&format!("run {id} -> {}", state.label()));
-            self.signal.bump();
+            self.hub.signal.bump();
         }
     }
 
@@ -417,8 +415,7 @@ impl Server {
             counters: ServeCounters::default(),
             contexts: Mutex::new(HashMap::new()),
             coordinators: Mutex::new(HashMap::new()),
-            lease_counters: Arc::new(LeaseCounters::default()),
-            signal: Arc::new(Signal::default()),
+            hub: Arc::default(),
             shutdown: AtomicBool::new(false),
         });
         fs::create_dir_all(shared.runs_root())?;
@@ -459,7 +456,7 @@ impl Server {
         for coordinator in self.shared.coordinators.lock_unpoisoned().values() {
             coordinator.close();
         }
-        self.shared.signal.bump();
+        self.shared.hub.signal.bump();
         if let Some(front) = self.front.take() {
             front.stop();
         }
@@ -588,7 +585,7 @@ fn handle_coordination(
             None => dist::Resolution::Unknown,
         }
     };
-    dist::respond_coordination(stream, request, &resolve, &shared.signal)
+    dist::respond_coordination(stream, request, &resolve, &shared.hub.signal)
 }
 
 fn handle_submit(
@@ -681,7 +678,7 @@ fn handle_submit(
             (202, "Accepted", status)
         }
     };
-    shared.signal.bump();
+    shared.hub.signal.bump();
     let (status, reason, payload) = response;
     let body = serde_json::to_string(&payload).unwrap_or_else(|_| "{}".to_string());
     write_json(stream, status, reason, &body)
@@ -694,19 +691,8 @@ fn handle_list(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
         metas.sort_by(|a, b| a.id.cmp(&b.id));
         metas.iter().map(|meta| shared.status_of(meta)).collect()
     };
-    write_ok(stream, &statuses)
-}
-
-/// Answers 200 with `value` as JSON.
-fn write_ok<T: Serialize>(stream: &mut TcpStream, value: &T) -> std::io::Result<()> {
-    let body = serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string());
+    let body = serde_json::to_string(&statuses).unwrap_or_else(|_| "[]".to_string());
     write_json(stream, 200, "OK", &body)
-}
-
-/// Answers the typed 404 of an unknown run id.
-fn run_not_found(stream: &mut TcpStream, id: &str) -> std::io::Result<()> {
-    let error = WireError::new("RunNotFound", format!("no run with id {id}"));
-    write_error(stream, 404, "Not Found", &error)
 }
 
 fn handle_status(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
@@ -715,15 +701,24 @@ fn handle_status(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::
         registry.runs.get(id).map(|meta| shared.status_of(meta))
     };
     match status {
-        Some(status) => write_ok(stream, &status),
-        None => run_not_found(stream, id),
+        Some(status) => {
+            let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
+            write_json(stream, 200, "OK", &body)
+        }
+        None => write_error(
+            stream,
+            404,
+            "Not Found",
+            &WireError::new("RunNotFound", format!("no run with id {id}")),
+        ),
     }
 }
 
 /// Streams completed outcome lines as JSONL, tailing the run until it
-/// reaches a terminal state. Each shard log is sent once, in shard-index
-/// order among the logs present at each wake (for a finished run: all of
-/// them); `?from=N` skips the first `N` lines of that sequence (a client
+/// reaches a terminal state. Shard logs go out once each, in shard-index
+/// order: a log waits until every lower-indexed one was sent (a terminal
+/// run sends every log it has), so each connection streams the same
+/// sequence and `?from=N` skips exactly its first `N` lines (a client
 /// reconnecting after a daemon restart resumes its count).
 fn handle_stream(
     stream: &mut TcpStream,
@@ -732,7 +727,12 @@ fn handle_stream(
     request: &Request,
 ) -> std::io::Result<()> {
     if shared.state_of(id).is_none() {
-        return run_not_found(stream, id);
+        return write_error(
+            stream,
+            404,
+            "Not Found",
+            &WireError::new("RunNotFound", format!("no run with id {id}")),
+        );
     }
     let mut skip = request
         .query_param("from")
@@ -740,26 +740,35 @@ fn handle_stream(
         .unwrap_or(0);
     write_stream_head(stream, "application/jsonl")?;
     let dir = shared.run_dir(id);
-    let mut sent: HashSet<PathBuf> = HashSet::new();
+    let mut next = 0u64;
     loop {
-        // Generation first, state second, lines third: a change after the
+        // Generation first, state second, logs third: a change after the
         // generation read ends the wait below, and a state already terminal
-        // here guarantees the logs listed after it are all there are.
-        let seen = shared.signal.generation();
+        // here guarantees the logs read after it are all there are.
+        let seen = shared.hub.signal.generation();
         let Some(state) = shared.state_of(id) else {
             break;
         };
+        // A live run's tail stops at its first missing log; a terminal
+        // run's sends every log left, past any gap.
+        let terminal = state.is_terminal();
+        let last = if terminal {
+            next_shard_index(&dir).unwrap_or(next)
+        } else {
+            u64::MAX
+        };
         let mut chunk = String::new();
         let mut lines = 0u64;
-        for file in experiments::stream::shard_files(&dir).unwrap_or_default() {
-            if sent.contains(&file) {
-                continue;
+        while next < last {
+            let log = fs::read_to_string(dir.join(shard_file_name(next)));
+            if log.is_err() && !terminal {
+                break;
             }
-            let Ok(text) = fs::read_to_string(&file) else {
-                continue;
-            };
-            sent.insert(file);
-            for line in text.lines().filter(|line| !line.trim().is_empty()) {
+            next += 1;
+            for line in log.iter().flat_map(|text| text.lines()) {
+                if line.trim().is_empty() {
+                    continue;
+                }
                 if skip > 0 {
                     skip -= 1;
                     continue;
@@ -774,17 +783,25 @@ fn handle_stream(
             stream.write_all(chunk.as_bytes())?;
             stream.flush()?;
         }
-        if state.is_terminal() || shared.shutdown.load(Ordering::SeqCst) {
+        if terminal || shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        shared.signal.wait_past(seen, Duration::MAX);
+        shared.hub.signal.wait_past(seen, Duration::MAX);
     }
     Ok(())
 }
 
 fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
-    let Some(state) = shared.state_of(id) else {
-        return run_not_found(stream, id);
+    let state = match shared.state_of(id) {
+        Some(state) => state,
+        None => {
+            return write_error(
+                stream,
+                404,
+                "Not Found",
+                &WireError::new("RunNotFound", format!("no run with id {id}")),
+            )
+        }
     };
     if state != RunState::Complete {
         return write_error(
@@ -818,33 +835,50 @@ fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::
 }
 
 fn handle_cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
-    let mut guard = shared.registry.lock_unpoisoned();
-    let registry = &mut *guard;
-    let Some(meta) = registry.runs.get_mut(id) else {
-        drop(guard);
-        return run_not_found(stream, id);
-    };
-    let cancel = !meta.state.is_terminal();
-    if meta.state == RunState::Queued {
-        registry.queue.remove(id);
-    }
-    if cancel {
-        meta.state = RunState::Cancelled;
-        ServeCounters::bump(&shared.counters.runs_cancelled);
-    }
-    let meta = meta.clone();
-    drop(guard);
-    if cancel {
-        let _ = meta.save(&shared.run_dir(id));
-        shared.log(&format!("run {id} -> cancelled"));
-        // Stop serving the run's leases: external workers pinned to it
-        // resolve it as finished, and a worker held on it is released.
-        if let Some(coordinator) = shared.coordinators.lock_unpoisoned().remove(id) {
-            coordinator.close();
+    let status = {
+        let mut registry = shared.registry.lock_unpoisoned();
+        match registry.runs.get(id).map(|meta| meta.state) {
+            None => None,
+            Some(state) => {
+                if state == RunState::Queued {
+                    registry.queue.remove(id);
+                }
+                if !state.is_terminal() {
+                    let meta = registry.runs.get_mut(id).unwrap();
+                    meta.state = RunState::Cancelled;
+                    let snapshot = meta.clone();
+                    ServeCounters::bump(&shared.counters.runs_cancelled);
+                    drop(registry);
+                    let _ = snapshot.save(&shared.run_dir(id));
+                    shared.log(&format!("run {id} -> cancelled"));
+                    // Stop serving the run's leases: external workers pinned
+                    // to it resolve it as finished, and a worker held on it
+                    // is released.
+                    if let Some(coordinator) = shared.coordinators.lock_unpoisoned().remove(id) {
+                        coordinator.close();
+                    }
+                    shared.hub.signal.bump();
+                    Some(shared.status_of(&snapshot))
+                } else {
+                    let meta = registry.runs.get(id).unwrap().clone();
+                    drop(registry);
+                    Some(shared.status_of(&meta))
+                }
+            }
         }
-        shared.signal.bump();
+    };
+    match status {
+        Some(status) => {
+            let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
+            write_json(stream, 200, "OK", &body)
+        }
+        None => write_error(
+            stream,
+            404,
+            "Not Found",
+            &WireError::new("RunNotFound", format!("no run with id {id}")),
+        ),
     }
-    write_ok(stream, &shared.status_of(&meta))
 }
 
 fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
@@ -925,9 +959,10 @@ fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> 
         curve_cache,
         simdb,
         rma,
-        leases: shared.lease_counters.snapshot(),
+        leases: shared.hub.counters.snapshot(),
     };
-    write_ok(stream, &report)
+    let body = serde_json::to_string(&report).unwrap_or_else(|_| "{}".to_string());
+    write_json(stream, 200, "OK", &body)
 }
 
 /// Worker: claims queued runs and executes them shard by shard, honouring
@@ -935,7 +970,7 @@ fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         // Generation first: a submission after the queue check moves it.
-        let seen = shared.signal.generation();
+        let seen = shared.hub.signal.generation();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -956,7 +991,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 execute_run(shared, &id);
             }
             None => {
-                shared.signal.wait_past(seen, Duration::MAX);
+                shared.hub.signal.wait_past(seen, Duration::MAX);
             }
         }
     }
@@ -993,8 +1028,7 @@ fn execute_run(shared: &Shared, id: &str) {
         meta.quick,
         &dir,
         &config,
-        shared.lease_counters.clone(),
-        shared.signal.clone(),
+        shared.hub.clone(),
     ) {
         Ok(coordinator) => Arc::new(coordinator),
         Err(e) => return fail_run(shared, id, &e),
@@ -1005,7 +1039,7 @@ fn execute_run(shared: &Shared, id: &str) {
         .insert(id.to_string(), coordinator.clone());
     // Leases held while the run was `Running` without a coordinator (the
     // state moves first) can now resolve it.
-    shared.signal.bump();
+    shared.hub.signal.bump();
     let worker = WorkerConfig {
         worker: thread::current()
             .name()

@@ -4,14 +4,16 @@
 //! path.
 //!
 //! Nothing here waits on a timer: the tests wait on the daemon's own
-//! events — a run's `/stream` closes exactly when the run is terminal, and
-//! its first line lands with the first completed shard — and bound the
-//! waits that must be short with a channel timeout.
+//! events — a run's `/stream` closes exactly when the run is terminal, its
+//! first line lands with shard 0, and a lease request with nothing to lease
+//! is held until the daemon moves — and bound the waits that must be short
+//! with a channel timeout.
 
-use experiments::dist::{Coordination, WorkerClient, LEASE_HOLD};
+use experiments::dist::{evaluate_points, Coordination, WorkerClient, LEASE_HOLD};
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
 use experiments::sweep::ScenarioOutcome;
 use experiments::{ExperimentContext, QosAxis, RmaVariant, ScenarioSpec, SweepOptions};
+use qosrm_proto::{CompleteReply, CompleteRequest, LeaseGrant};
 use qosrm_serve::{Client, ClientError, RunMeta, RunState, ServeConfig, Server};
 use qosrm_types::{FreqLevel, PlatformConfig, QosSpec};
 use std::collections::HashSet;
@@ -95,8 +97,8 @@ fn tail(addr: SocketAddr, id: &str) -> BufReader<TcpStream> {
     reader
 }
 
-/// Blocks until the run's first outcome line is streamed, i.e. its first
-/// shard completed.
+/// Blocks until the run's first outcome line is streamed, i.e. its shard 0
+/// landed (the first to land when the in-process worker runs it alone).
 fn first_outcome(addr: SocketAddr, id: &str) {
     let mut line = String::new();
     tail(addr, id).read_line(&mut line).unwrap();
@@ -692,22 +694,46 @@ fn load_generator_sustains_concurrent_clients_with_byte_identical_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Leases one shard of the 2-shard run `id` to an external worker for
-/// longer than any test, then waits for the daemon's one in-process worker
-/// to land the other: its next lease request is held behind the external
-/// lease.
-fn hold_worker(addr: SocketAddr, id: &str) {
+/// Leases shards of the 2-shard run `id` to an external worker, for
+/// longer than any test, until the daemon's one in-process worker is held
+/// behind them: the external worker holds both shards, or holds one while
+/// the in-process worker landed the other. Returns the external grants.
+fn hold_worker(addr: SocketAddr, id: &str) -> Vec<LeaseGrant> {
     let external = WorkerClient::new(&addr.to_string(), 3);
-    // A held request may end without a grant (the run moved, but is not
-    // coordinated yet): ask again, as `drain` does.
+    let client = Client::new(addr);
+    let mut grants = Vec::new();
+    // A request without a grant was held until the daemon moved (the run
+    // got coordinated, or the in-process worker landed its shard): ask
+    // again, as `drain` does.
     loop {
         let reply = external.lease("ext", id).unwrap();
         assert!(!reply.finished, "the run ended before the external lease");
-        if reply.grant.is_some() {
-            break;
+        grants.extend(reply.grant);
+        let landed = client.status(id).unwrap().completed_scenarios;
+        if grants.len() + landed == 2 {
+            return grants;
         }
     }
-    first_outcome(addr, id);
+}
+
+/// Evaluates `grant` in the test process and delivers it as `ext`.
+fn land(addr: SocketAddr, ctx: &ExperimentContext, grant: &LeaseGrant) -> CompleteReply {
+    let spec: ScenarioSpec = serde_json::from_str(&grant.spec_json).unwrap();
+    let (outcomes_jsonl, curve_hits, curve_misses) =
+        evaluate_points(ctx, &spec, &grant.points, SweepOptions::default()).unwrap();
+    let external = WorkerClient::new(&addr.to_string(), 3);
+    let delivered = external.complete(&CompleteRequest {
+        worker: "ext".to_string(),
+        run: grant.run.clone(),
+        shard: grant.shard,
+        epoch: grant.epoch,
+        outcomes_jsonl,
+        curve_hits,
+        curve_misses,
+    });
+    let delivered = delivered.unwrap();
+    assert!(delivered.accepted, "shard {} is landed", grant.shard);
+    delivered
 }
 
 #[test]
@@ -738,5 +764,134 @@ fn cancel_and_stop_release_an_in_process_worker_held_behind_an_external_lease() 
     within(LEASE_HOLD / 2, move || hold_worker(addr, &next));
     // Shutdown releases it too: `stop` joins it well inside the hold cap.
     within(LEASE_HOLD / 2, move || server.stop());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_any_run_worker_held_on_a_run_that_finishes_stays_attached_for_the_next() {
+    let (mut server, client, dir) = start(
+        "anyrun",
+        ServeConfig {
+            workers: 1,
+            shard_delay_ms: 300,
+            default_shard_size: 1,
+            lease_ms: 600_000,
+            ..Default::default()
+        },
+    );
+    let addr = server.addr();
+    let submit = |name: &str| {
+        let payload = serde_json::to_string(&tiny_spec(name, 91, 2)).unwrap();
+        client.submit(&payload, "t", true, 1).unwrap().1.id
+    };
+    let first = submit("anyrun-a");
+    // The in-process worker is held behind one external lease, the first
+    // run's last unlanded shard.
+    let ctx = ExperimentContext::new(true);
+    let mut grants = hold_worker(addr, &first);
+    while grants.len() > 1 {
+        land(addr, &ctx, &grants.pop().unwrap());
+    }
+    // An any-run lease resolves to the first run and is held there.
+    let (answered, reply) = mpsc::channel();
+    let asked = std::thread::spawn(move || {
+        let any = WorkerClient::new(&addr.to_string(), 3);
+        let _ = answered.send(any.lease("any", "").unwrap());
+    });
+    assert!(
+        reply.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the any-run lease is held while the first run has nothing to lease"
+    );
+    // Landing the last shard finishes the first run and releases the hold:
+    // an any-run worker is told to ask again, not to stop.
+    assert!(land(addr, &ctx, &grants[0]).finished);
+    let reply = reply
+        .recv_timeout(LEASE_HOLD / 2)
+        .expect("the last completion releases the any-run lease");
+    asked.join().unwrap();
+    assert_eq!((reply.grant, reply.finished), (None, false));
+    // Asking again, it draws from the next submission.
+    let second = submit("anyrun-b");
+    let any = WorkerClient::new(&addr.to_string(), 3);
+    let grant = loop {
+        let reply = any.lease("any", "").unwrap();
+        assert!(!reply.finished, "an any-run worker is never told to stop");
+        if let Some(grant) = reply.grant {
+            break grant;
+        }
+    };
+    assert_eq!(grant.run, second);
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_resumed_stream_continues_exactly_after_out_of_order_landings() {
+    // The in-process worker pauses 1 s after each one-scenario shard, and
+    // an external worker lands shard 1 of a 2-shard run before shard 0. A
+    // tail open throughout still sends the logs in shard-index order, so a
+    // connection resuming from its count continues it exactly.
+    let (mut server, client, dir) = start(
+        "resume",
+        ServeConfig {
+            workers: 1,
+            shard_delay_ms: 1000,
+            default_shard_size: 1,
+            lease_ms: 600_000,
+            ..Default::default()
+        },
+    );
+    let addr = server.addr();
+    let spec = tiny_spec("resume", 81, 2);
+    // Warm databases land the external shard well inside the pause.
+    let ctx = ExperimentContext::new(true);
+    evaluate_points(&ctx, &spec, &[0, 1], SweepOptions::default()).unwrap();
+    let payload = serde_json::to_string(&spec).unwrap();
+    let id = client.submit(&payload, "t", true, 1).unwrap().1.id;
+    let tailed = tail(addr, &id);
+    let streamed = std::thread::spawn(move || {
+        let lines = tailed.lines().map(|line| line.unwrap());
+        lines.collect::<Vec<String>>()
+    });
+
+    // The external worker takes what it is granted; holding shard 0, it
+    // also waits for shard 1 (taking it, or until the in-process worker
+    // lands it). Each request without a grant was held until the daemon
+    // moved.
+    let external = WorkerClient::new(&addr.to_string(), 3);
+    let mut grants: Vec<LeaseGrant> = Vec::new();
+    while grants.is_empty()
+        || (grants.len() == 1
+            && grants[0].shard == 0
+            && client.status(&id).unwrap().completed_scenarios == 0)
+    {
+        let reply = external.lease("ext", &id).unwrap();
+        assert!(!reply.finished, "the run ended before the external lease");
+        grants.extend(reply.grant);
+    }
+    // Higher shard first: every landing of shard 1 finds shard 0 pending.
+    grants.sort_by_key(|grant| std::cmp::Reverse(grant.shard));
+    for grant in &grants {
+        let finished = land(addr, &ctx, grant).finished;
+        assert_eq!(finished, grant.shard == 0, "shard 1 lands before shard 0");
+    }
+    assert_eq!(wait_terminal(&client, &id), "complete");
+
+    let mut sequence = Vec::new();
+    client
+        .stream(&id, 0, |line| sequence.push(line.to_string()))
+        .unwrap();
+    assert_eq!(sequence.len(), 2);
+    assert_eq!(
+        streamed.join().unwrap(),
+        sequence,
+        "the live tail sent the logs in shard-index order"
+    );
+    let mut resumed = Vec::new();
+    client
+        .stream(&id, 1, |line| resumed.push(line.to_string()))
+        .unwrap();
+    assert_eq!(resumed, sequence[1..], "a resume from 1 continues exactly");
+    server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
