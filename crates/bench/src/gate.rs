@@ -28,7 +28,8 @@ use experiments::{
 use qosrm_core::{
     best_response, min_energy_equilibrium, optimize_partition_scalar,
     optimize_partition_with_stats, CoordinatedRma, CurveCache, CurvePoint, EnergyCurve, GameConfig,
-    GameStats, LocalOptimizer, LocalOptimizerConfig, ModelKind, PruneStats, RmaConfig,
+    GameStats, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig, ModelKind, PruneStats,
+    RmaConfig,
 };
 use qosrm_serve::{
     execute as serve_execute, plan as serve_plan, Client, LoadConfig, ServeConfig, Server,
@@ -570,8 +571,11 @@ fn run_best_response(reps: usize, br_per_set: usize, eq_per_set: usize) -> Measu
                     add(s);
                     br_calls += 1;
                 }
+                let dirty = vec![true; curves.len()];
                 for _ in 0..eq_per_set {
-                    let (outcome, s, _) = min_energy_equilibrium(curves, *ways);
+                    let mut arena = IncrementalOptimizer::new();
+                    let (outcome, s, _, _) =
+                        min_energy_equilibrium(&mut arena, curves, &dirty, *ways);
                     assert!(outcome.is_some(), "an equilibrium must exist");
                     std::hint::black_box(&outcome);
                     add(s);

@@ -43,16 +43,7 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio (0 when the core issued no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
+impl CacheStats {}
 
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Line {
@@ -261,7 +252,6 @@ mod tests {
         assert_eq!(misses, 4);
         assert_eq!(cache.stats(CoreId(0)).misses, 4);
         assert_eq!(cache.stats(CoreId(0)).accesses, 40);
-        assert!(cache.stats(CoreId(0)).miss_ratio() < 0.11);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::access::AccessTrace;
 use crate::profile::{ReplayProfile, StackDistanceProfiler};
-use qosrm_types::{CoreSizeIdx, CoreSizeParams, LlcGeometry, MissProfile, MlpProfile};
+use qosrm_types::{CoreSizeParams, LlcGeometry, MissProfile};
 use serde::{Deserialize, Serialize};
 
 /// Parameters that bound how aggressively misses can overlap on a given core
@@ -44,13 +44,6 @@ pub struct LeadingMissMatrix {
     pub leading: Vec<Vec<u64>>,
 }
 
-impl LeadingMissMatrix {
-    /// Converts the matrix into the [`MlpProfile`] observation type.
-    pub fn into_profile(self) -> MlpProfile {
-        MlpProfile::new(self.leading)
-    }
-}
-
 /// Configuration of the MLP-aware ATD extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MlpAtdConfig {
@@ -59,16 +52,6 @@ pub struct MlpAtdConfig {
     /// Overlap parameters of every core-size configuration, ordered small to
     /// large (one row of leading-miss counters is maintained per size).
     pub core_sizes: Vec<OverlapParams>,
-}
-
-impl MlpAtdConfig {
-    /// Builds a configuration from the platform's core-size list.
-    pub fn from_core_sizes(core_sizes: &[CoreSizeParams], set_sampling: usize) -> Self {
-        MlpAtdConfig {
-            set_sampling,
-            core_sizes: core_sizes.iter().map(OverlapParams::from).collect(),
-        }
-    }
 }
 
 /// Per-core MLP-aware ATD: tracks, for every core size and way allocation,
@@ -148,27 +131,11 @@ impl MlpAtd {
     }
 }
 
-/// Estimate of the MLP for a given core size from a leading-miss matrix and a
-/// miss profile.
-pub fn mlp_estimate(
-    misses: &MissProfile,
-    matrix: &LeadingMissMatrix,
-    size: CoreSizeIdx,
-    ways: usize,
-) -> f64 {
-    let total = misses.misses_at(ways);
-    let leading = matrix.leading[size.index()][ways - 1];
-    if total == 0 || leading == 0 {
-        1.0
-    } else {
-        (total as f64 / leading as f64).max(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::Access;
+    use qosrm_types::{CoreSizeIdx, MlpProfile};
 
     fn geometry() -> LlcGeometry {
         LlcGeometry {
@@ -221,9 +188,10 @@ mod tests {
         let (misses, matrix) = atd.observe_interval(&bursty_trace(50, 12));
         // Streaming: every access misses regardless of ways.
         assert_eq!(misses.misses_at(16), 600);
-        let mlp_small = mlp_estimate(&misses, &matrix, CoreSizeIdx(0), 16);
-        let mlp_medium = mlp_estimate(&misses, &matrix, CoreSizeIdx(1), 16);
-        let mlp_large = mlp_estimate(&misses, &matrix, CoreSizeIdx(2), 16);
+        let profile = MlpProfile::new(matrix.leading);
+        let mlp_small = profile.mlp_at(CoreSizeIdx(0), 16, &misses);
+        let mlp_medium = profile.mlp_at(CoreSizeIdx(1), 16, &misses);
+        let mlp_large = profile.mlp_at(CoreSizeIdx(2), 16, &misses);
         assert!(mlp_small < mlp_medium && mlp_medium < mlp_large);
         assert!((mlp_small - 4.0).abs() < 0.5); // limited by 4 MSHRs
         assert!(mlp_large >= 10.0); // whole 12-miss burst overlaps on the large core
@@ -237,7 +205,7 @@ mod tests {
         };
         let mut atd = MlpAtd::new(geometry(), config);
         let (misses, matrix) = atd.observe_interval(&bursty_trace(30, 5));
-        let profile = matrix.clone().into_profile();
+        let profile = MlpProfile::new(matrix.leading.clone());
         assert!(profile.validate(&misses).is_ok());
         for s in 0..3 {
             for w in 1..=16usize {
@@ -257,8 +225,9 @@ mod tests {
         };
         let mut atd = MlpAtd::new(geometry(), config);
         let (misses, matrix) = atd.observe_interval(&trace);
+        let profile = MlpProfile::new(matrix.leading);
         for s in 0..3usize {
-            let mlp = mlp_estimate(&misses, &matrix, CoreSizeIdx(s), 16);
+            let mlp = profile.mlp_at(CoreSizeIdx(s), 16, &misses);
             assert!((mlp - 1.0).abs() < 1e-9, "size {s} should have MLP 1");
         }
     }
@@ -272,15 +241,5 @@ mod tests {
         let atd = MlpAtd::new(LlcGeometry::default_4mib_16way(), config);
         // The paper budget: below 300 bytes per core.
         assert!(atd.hardware_cost_bytes() < 300);
-    }
-
-    #[test]
-    fn from_core_size_params() {
-        let params = CoreSizeParams::default_three_sizes();
-        let config = MlpAtdConfig::from_core_sizes(&params, 32);
-        assert_eq!(config.core_sizes.len(), 3);
-        assert_eq!(config.core_sizes[0].mshrs, params[0].mshrs);
-        assert_eq!(config.core_sizes[2].rob_entries, params[2].rob_entries);
-        assert!(config.core_sizes[2].mshrs > config.core_sizes[0].mshrs);
     }
 }

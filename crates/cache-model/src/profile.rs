@@ -41,7 +41,7 @@ pub struct AccessRecord {
 impl AccessRecord {
     /// Whether this access misses in a cache with `ways` ways per set.
     #[inline]
-    pub fn is_miss_at(&self, ways: usize) -> bool {
+    fn is_miss_at(&self, ways: usize) -> bool {
         self.stack_distance == COLD_DISTANCE || self.stack_distance as usize >= ways
     }
 }

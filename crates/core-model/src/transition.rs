@@ -51,13 +51,6 @@ pub struct TransitionOverhead {
     pub core_reconfigs: u64,
 }
 
-impl TransitionOverhead {
-    /// Whether any overhead was charged.
-    pub fn is_zero(&self) -> bool {
-        self.time_seconds == 0.0 && self.extra_misses == 0
-    }
-}
-
 /// Computes transition overheads from setting deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransitionModel {
@@ -104,11 +97,6 @@ impl TransitionModel {
         }
         overhead
     }
-
-    /// Total overhead for a whole system transition (per-core deltas).
-    pub fn system_overhead(&self, deltas: &[SettingDelta]) -> Vec<TransitionOverhead> {
-        deltas.iter().map(|d| self.overhead(d)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -135,8 +123,7 @@ mod tests {
     #[test]
     fn no_change_no_overhead() {
         let o = model().overhead(&delta(false, 0, false));
-        assert!(o.is_zero());
-        assert_eq!(o.dvfs_transitions, 0);
+        assert_eq!(o, TransitionOverhead::default());
     }
 
     #[test]
@@ -166,19 +153,5 @@ mod tests {
         // compared to a 100 M instruction interval (tens of milliseconds).
         let o = model().overhead(&delta(true, 4, true));
         assert!(o.time_seconds < 1e-3);
-    }
-
-    #[test]
-    fn system_overhead_covers_all_cores() {
-        let deltas = vec![
-            delta(true, 0, false),
-            delta(false, 2, false),
-            delta(false, 0, false),
-        ];
-        let overheads = model().system_overhead(&deltas);
-        assert_eq!(overheads.len(), 3);
-        assert!(overheads[0].dvfs_transitions == 1);
-        assert!(overheads[1].extra_misses > 0);
-        assert!(overheads[2].is_zero());
     }
 }

@@ -57,15 +57,17 @@
 //!   hoards the free pool — the classic selfish outcome whose cost the E10
 //!   experiment reports as the price of anarchy.
 //! * [`min_energy_equilibrium`] — equilibrium selection: the slack-allowed
-//!   minimum of `Φ` from the cooperative arena
-//!   ([`crate::global`]), certified by best-response rounds started there.
-//!   It costs one pairwise reduction at any core count.
+//!   minimum of `Φ` from the cooperative min-plus arena it is handed
+//!   ([`crate::global::IncrementalOptimizer`]), certified by best-response
+//!   rounds started there. A fresh arena costs one pairwise reduction at any
+//!   core count; the manager's retained arena recombines only the root paths
+//!   of the cores whose curves changed.
 //! * [`is_pure_nash`] — an exhaustive, solver-independent verifier of the
 //!   equilibrium definition that the solvers never consult. It exists so
 //!   property tests can adversarially validate every solver output.
 
 use crate::curve::{CurvePoint, EnergyCurve};
-use crate::global::{optimize_in_arena, Budget, Kernel, PruneStats};
+use crate::global::{Budget, IncrementalOptimizer, PruneStats, WarmStats};
 use serde::{Deserialize, Serialize};
 
 /// Which global allocation algorithm step 4 of the RMA runs.
@@ -140,12 +142,13 @@ pub struct GameOutcome {
 impl GameOutcome {
     /// Converts the slack-allowed outcome into the exact-sum
     /// `(ways, point)` allocation the system-setting validation requires,
-    /// by handing the leftover free ways out via [`distribute_slack`].
+    /// by handing the leftover free ways out one at a time in round-robin
+    /// core order, starting at core 0.
     ///
     /// Each core keeps the curve point of its *strategy* ways — the game's
     /// VF/core-size decision — and merely holds the topped-up allocation.
     pub fn exact_sum_allocation(&self, total_ways: usize) -> Vec<(usize, CurvePoint)> {
-        distribute_slack(&self.strategies, total_ways, total_ways)
+        distribute_slack(&self.strategies, total_ways)
             .into_iter()
             .zip(self.points.iter().copied())
             .collect()
@@ -165,28 +168,13 @@ pub fn total_energy(curves: &[EnergyCurve], strategies: &[usize]) -> f64 {
 
 /// Deterministically tops a slack-allowed strategy vector up to an exact
 /// sum of `total_ways`: leftover ways are handed out one at a time in
-/// round-robin core order starting at core 0, each core capped at
-/// `max_ways`. Vectors already summing to `total_ways` (or exceeding it)
-/// are returned unchanged.
-pub fn distribute_slack(strategies: &[usize], total_ways: usize, max_ways: usize) -> Vec<usize> {
+/// round-robin core order starting at core 0. Vectors already summing to
+/// `total_ways` (or exceeding it) are returned unchanged.
+fn distribute_slack(strategies: &[usize], total_ways: usize) -> Vec<usize> {
     let mut ways = strategies.to_vec();
-    let used: usize = ways.iter().sum();
-    let mut free = total_ways.saturating_sub(used);
-    while free > 0 {
-        let mut gave = false;
-        for w in ways.iter_mut() {
-            if free == 0 {
-                break;
-            }
-            if *w < max_ways {
-                *w += 1;
-                free -= 1;
-                gave = true;
-            }
-        }
-        if !gave {
-            break; // every core saturated at max_ways
-        }
+    let free = total_ways.saturating_sub(ways.iter().sum());
+    for core in (0..ways.len()).cycle().take(free) {
+        ways[core] += 1;
     }
     ways
 }
@@ -324,10 +312,13 @@ fn respond(
 ///
 /// The game is an exact potential game over `Φ = Σ_i E_i(w_i)` (see the
 /// module docs), so the cheapest equilibrium is the slack-allowed minimum of
-/// `Φ`. One cold reduction of the cooperative arena ([`crate::global`])
-/// computes `Φ`'s minimum at every budget, and its root row is read at the
+/// `Φ`. The root row of the cooperative min-plus arena holds `Φ`'s minimum
+/// at every budget, and a [`Budget::Slack`] step of `arena` reads it at the
 /// first minimum over the budgets `cores..=total_ways`: ties go to the
-/// fewest total ways, then to the arena's split order.
+/// fewest total ways, then to the arena's split order. The step reuses the
+/// rows `arena` retains from its previous slack step for every core whose
+/// `dirty` entry is false (see [`IncrementalOptimizer::optimize`]); a fresh
+/// arena builds every row.
 ///
 /// Best-response rounds started from that point certify it. On an
 /// equilibrium the first round moves nothing. No core can move to fewer
@@ -342,20 +333,21 @@ fn respond(
 ///
 /// Returns the outcome, the certificate's [`GameStats`] (one
 /// [`GameStats::equilibria_examined`] per certified candidate) and the
-/// arena's [`PruneStats`].
+/// arena step's [`PruneStats`] and [`WarmStats`].
 pub fn min_energy_equilibrium(
+    arena: &mut IncrementalOptimizer,
     curves: &[EnergyCurve],
+    dirty: &[bool],
     total_ways: usize,
-) -> (Option<GameOutcome>, GameStats, PruneStats) {
+) -> (Option<GameOutcome>, GameStats, PruneStats, WarmStats) {
     let mut stats = GameStats::default();
-    let (optimum, reduction) =
-        optimize_in_arena(curves, total_ways, true, Kernel::Chunked, Budget::Slack);
+    let (optimum, reduction, warm) = arena.optimize(curves, dirty, total_ways, Budget::Slack);
     let outcome = optimum.map(|optimum| {
         stats.equilibria_examined += 1;
         let start = optimum.iter().map(|&(ways, _)| ways).collect();
         respond(curves, total_ways, start, usize::MAX, &mut stats)
     });
-    (outcome, stats, reduction)
+    (outcome, stats, reduction, warm)
 }
 
 #[cfg(test)]
@@ -388,6 +380,18 @@ mod tests {
     }
 
     const INF: f64 = f64::INFINITY;
+
+    /// Equilibrium selection on a fresh arena.
+    fn equilibrium(
+        curves: &[EnergyCurve],
+        total_ways: usize,
+    ) -> (Option<GameOutcome>, GameStats, PruneStats) {
+        let mut arena = IncrementalOptimizer::new();
+        let dirty = vec![true; curves.len()];
+        let (outcome, stats, reduction, _) =
+            min_energy_equilibrium(&mut arena, curves, &dirty, total_ways);
+        (outcome, stats, reduction)
+    }
 
     #[test]
     fn first_mover_hoards_on_monotone_curves() {
@@ -427,11 +431,11 @@ mod tests {
         assert!(best_response(&curves, 4, &GameConfig::default())
             .0
             .is_none());
-        assert!(min_energy_equilibrium(&curves, 4).0.is_none());
+        assert!(equilibrium(&curves, 4).0.is_none());
         // Minimal feasible profile does not fit.
         let tight = vec![curve(&[INF, INF, 1.0]), curve(&[INF, 2.0, 1.0])];
         assert!(best_response(&tight, 4, &GameConfig::default()).0.is_none());
-        assert!(min_energy_equilibrium(&tight, 4).0.is_none());
+        assert!(equilibrium(&tight, 4).0.is_none());
         assert!(best_response(&[], 4, &GameConfig::default()).0.is_none());
     }
 
@@ -472,7 +476,7 @@ mod tests {
             curve(&[5.0, 4.0, 4.5, 1.0, 3.0]),
         ];
         let total_ways = 8;
-        let (outcome, stats, reduction) = min_energy_equilibrium(&curves, total_ways);
+        let (outcome, stats, reduction) = equilibrium(&curves, total_ways);
         let outcome = outcome.unwrap();
         assert!(outcome.converged);
         assert!(is_pure_nash(&curves, total_ways, &outcome.strategies));
@@ -511,7 +515,7 @@ mod tests {
             curve(&[1.0, just_below_one, just_below_one]),
         ];
         assert!(!is_pure_nash(&curves, 3, &[1, 1]));
-        let (outcome, stats, _) = min_energy_equilibrium(&curves, 3);
+        let (outcome, stats, _) = equilibrium(&curves, 3);
         let outcome = outcome.unwrap();
         assert!(outcome.converged);
         assert_eq!(outcome.strategies, vec![1, 2]);
@@ -524,7 +528,7 @@ mod tests {
         // (2,1), (3,1), (2,2) and (1,3) all cost 3.0 and are equilibria;
         // (2,1) is the only one on the fewest ways.
         let curves = vec![curve(&[2.0, 1.0, 1.0, 1.0]), curve(&[2.0, 2.0, 1.0, 1.0])];
-        let (outcome, _, _) = min_energy_equilibrium(&curves, 4);
+        let (outcome, _, _) = equilibrium(&curves, 4);
         let outcome = outcome.unwrap();
         assert_eq!(outcome.strategies, vec![2, 1]);
         assert!(is_pure_nash(&curves, 4, &outcome.strategies));
@@ -533,11 +537,9 @@ mod tests {
 
     #[test]
     fn slack_distribution_is_deterministic_and_exact() {
-        assert_eq!(distribute_slack(&[1, 1], 8, 8), vec![4, 4]);
-        assert_eq!(distribute_slack(&[2, 1], 8, 8), vec![5, 3]);
-        assert_eq!(distribute_slack(&[3, 5], 8, 8), vec![3, 5]);
-        // Per-core cap respected; undistributable slack is dropped.
-        assert_eq!(distribute_slack(&[1, 1], 8, 3), vec![3, 3]);
+        assert_eq!(distribute_slack(&[1, 1], 8), vec![4, 4]);
+        assert_eq!(distribute_slack(&[2, 1], 8), vec![5, 3]);
+        assert_eq!(distribute_slack(&[3, 5], 8), vec![3, 5]);
         let outcome = GameOutcome {
             strategies: vec![5, 1, 1, 1],
             points: vec![

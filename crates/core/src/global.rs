@@ -55,14 +55,17 @@
 //!
 //! # Incremental re-optimization
 //!
-//! [`IncrementalOptimizer`] keeps the arena alive across invocations: when
-//! only some input curves changed since the previous call, it re-densifies
-//! the dirty leaf rows, recombines exactly the inner nodes on their paths
-//! to the root, and reuses every other row verbatim (deterministic kernels
-//! on bitwise-identical inputs reproduce rows bitwise, so reuse is exact).
-//! The root recombination may additionally prune with a caller-supplied
-//! upper bound (the previous allocation's energy); see
-//! [`IncrementalOptimizer::optimize`] for why that bound is applied at the
+//! [`IncrementalOptimizer`] is the one arena every global step runs
+//! through, and it stays alive across invocations: when only some input
+//! curves changed since the previous call, it re-densifies the dirty leaf
+//! rows, recombines exactly the inner nodes on their paths to the root, and
+//! reuses every other row verbatim (deterministic kernels on
+//! bitwise-identical inputs reproduce rows bitwise, so reuse is exact). A
+//! cold step is the same step with nothing retained. The root row of a
+//! [`Budget::Exact`] step may additionally be pruned with the previous
+//! allocation's energy as an upper bound; a [`Budget::Slack`] step
+//! (equilibrium selection) reads the whole root row and never is. See
+//! [`IncrementalOptimizer::optimize`] for why the bound is applied at the
 //! root only.
 
 use crate::curve::{CurvePoint, EnergyCurve};
@@ -135,13 +138,17 @@ struct Arena {
 }
 
 /// Which candidate-scan implementation a reduction runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kernel {
-    /// The flat 4-wide-chunked pass (production path).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Kernel {
+    /// The flat 4-wide-chunked pass with lower-bound pruning (production
+    /// path).
+    #[default]
     Chunked,
-    /// The per-candidate scalar loop preserved as the perf-gate and
-    /// property-test reference.
+    /// The per-candidate scalar loop with the same pruning, preserved as the
+    /// perf-gate and property-test reference.
     Scalar,
+    /// The scalar loop without pruning: the naive candidate scan.
+    Unpruned,
 }
 
 /// One min-plus row combination with the chunked kernel: fills
@@ -178,7 +185,6 @@ fn convolve_rows_chunked(
     max_total: usize,
     out_energy: &mut [f64],
     out_split: &mut [usize],
-    prune: bool,
     incumbent: f64,
     stats: &mut PruneStats,
 ) -> f64 {
@@ -242,20 +248,16 @@ fn convolve_rows_chunked(
                     let m23 = if s2 < s3 { s2 } else { s3 };
                     let chunk_min = if m01 < m23 { m01 } else { m23 };
                     stats.lanes += 1;
-                    if prune {
-                        let b0 = l0 + right_min;
-                        let b1 = l1 + right_min;
-                        let b2 = l2 + right_min;
-                        let b3 = l3 + right_min;
-                        let pr = (b0 >= best) as u64
-                            + ((b1 >= best) | (b1 >= s0)) as u64
-                            + ((b2 >= best) | (b2 >= m01)) as u64
-                            + ((b3 >= best) | (b3 >= m01) | (b3 >= s2)) as u64;
-                        stats.pruned += pr;
-                        stats.ops += LANES as u64 - pr;
-                    } else {
-                        stats.ops += LANES as u64;
-                    }
+                    let b0 = l0 + right_min;
+                    let b1 = l1 + right_min;
+                    let b2 = l2 + right_min;
+                    let b3 = l3 + right_min;
+                    let pr = (b0 >= best) as u64
+                        + ((b1 >= best) | (b1 >= s0)) as u64
+                        + ((b2 >= best) | (b2 >= m01)) as u64
+                        + ((b3 >= best) | (b3 >= m01) | (b3 >= s2)) as u64;
+                    stats.pruned += pr;
+                    stats.ops += LANES as u64 - pr;
                     // Rarely taken: the chunk only matters when it beats
                     // the incumbent best, so the cross-chunk dependency is
                     // a predicted-untaken branch, not a float min.
@@ -286,7 +288,7 @@ fn convolve_rows_chunked(
                 // smallest bound fails against the running best, the
                 // sequential scan prunes all four candidates and leaves
                 // `best` untouched.
-                if prune && left_min + right_min >= best {
+                if left_min + right_min >= best {
                     stats.pruned += LANES as u64;
                     i += LANES;
                     continue;
@@ -301,8 +303,7 @@ fn convolve_rows_chunked(
                 // sequence collapses to `ops += LANES` plus a first-tie
                 // min scan (strict `<` keeps the earliest argmin, exactly
                 // like the sequential updates).
-                let no_prune =
-                    (!prune || (bound_max < best && bound_max < sum_min)) && bound_max <= incumbent;
+                let no_prune = bound_max < best && bound_max < sum_min && bound_max <= incumbent;
                 if no_prune {
                     stats.ops += LANES as u64;
                     // The chunk only changes the outcome when its minimum
@@ -325,11 +326,7 @@ fn convolve_rows_chunked(
                     for l in 0..LANES {
                         let left_energy = ls[i + l];
                         let bound = left_energy + right_min;
-                        if prune && bound >= best {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        if bound > incumbent {
+                        if bound >= best || bound > incumbent {
                             stats.pruned += 1;
                             continue;
                         }
@@ -346,7 +343,7 @@ fn convolve_rows_chunked(
             while i < n {
                 let left_energy = ls[i];
                 let bound = left_energy + right_min;
-                if (prune && bound >= best) || bound > incumbent {
+                if bound >= best || bound > incumbent {
                     stats.pruned += 1;
                 } else {
                     stats.ops += 1;
@@ -460,17 +457,16 @@ impl Arena {
     /// capping the combined curve at `cap` ways (the LLC associativity)
     /// since larger budgets can never be requested.
     ///
-    /// When `prune` is set, split candidates whose lower bound cannot beat
-    /// the incumbent are skipped; the recorded energies and argmin splits are
+    /// A pruning kernel skips split candidates whose lower bound cannot beat
+    /// the running best; the recorded energies and argmin splits are
     /// identical either way because the bound is conservative and the
-    /// incumbent test is strict.
+    /// comparison is strict.
     #[allow(clippy::too_many_arguments)]
     fn combine(
         &mut self,
         left: NodeId,
         right: NodeId,
         cap: usize,
-        prune: bool,
         kernel: Kernel,
         incumbent: f64,
         scratch: &mut Vec<f64>,
@@ -498,7 +494,7 @@ impl Arena {
             min_energy: f64::INFINITY,
         });
         let id = self.nodes.len() - 1;
-        self.recombine(id, prune, kernel, incumbent, scratch, stats);
+        self.recombine(id, kernel, incumbent, scratch, stats);
         id
     }
 
@@ -508,7 +504,6 @@ impl Arena {
     fn recombine(
         &mut self,
         node: NodeId,
-        prune: bool,
         kernel: Kernel,
         incumbent: f64,
         scratch: &mut Vec<f64>,
@@ -546,11 +541,10 @@ impl Arena {
                 max_total,
                 out_energy,
                 out_split,
-                prune,
                 incumbent,
                 stats,
             ),
-            Kernel::Scalar => convolve_rows_scalar(
+            Kernel::Scalar | Kernel::Unpruned => convolve_rows_scalar(
                 left_row,
                 right_row,
                 left_leaves,
@@ -559,7 +553,7 @@ impl Arena {
                 max_total,
                 out_energy,
                 out_split,
-                prune,
+                kernel == Kernel::Scalar,
                 stats,
             ),
         };
@@ -607,7 +601,6 @@ impl Arena {
 fn build_reduction(
     curves: &[EnergyCurve],
     total_ways: usize,
-    prune: bool,
     kernel: Kernel,
     incumbent: f64,
     scratch: &mut Vec<f64>,
@@ -631,7 +624,6 @@ fn build_reduction(
                     frontier[i],
                     frontier[i + 1],
                     total_ways,
-                    prune,
                     kernel,
                     bound,
                     scratch,
@@ -672,57 +664,6 @@ fn extract_result(
     Some(result)
 }
 
-/// Which root cell of a cold reduction [`optimize_in_arena`] unwinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Budget {
-    /// Exactly `total_ways`: the cooperative step's exact-sum partition.
-    Exact,
-    /// The first minimum over the budgets `cores..=total_ways`: the
-    /// slack-allowed optimum that equilibrium selection starts from
-    /// ([`crate::game::min_energy_equilibrium`]). Ties go to the fewest
-    /// total ways, then to the arena's split order.
-    Slack,
-}
-
-/// Builds a cold reduction of `curves` over `total_ways` and unwinds the
-/// root cell `budget` selects: the one min-plus solver behind the
-/// cooperative entry points below and equilibrium selection.
-pub(crate) fn optimize_in_arena(
-    curves: &[EnergyCurve],
-    total_ways: usize,
-    prune: bool,
-    kernel: Kernel,
-    budget: Budget,
-) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats) {
-    let mut stats = PruneStats::default();
-    if curves.is_empty() || total_ways < curves.len() {
-        return (None, stats);
-    }
-    let mut scratch = Vec::new();
-    let (arena, root) = build_reduction(
-        curves,
-        total_ways,
-        prune,
-        kernel,
-        f64::INFINITY,
-        &mut scratch,
-        &mut stats,
-    );
-    // Without an incumbent bound the root row is exact at every budget.
-    let ways = match budget {
-        Budget::Exact => total_ways,
-        // Strict `<`: the first minimum, on the fewest ways, wins ties.
-        Budget::Slack => (curves.len()..=total_ways).fold(curves.len(), |best, ways| {
-            if arena.energy_at(root, ways) < arena.energy_at(root, best) {
-                ways
-            } else {
-                best
-            }
-        }),
-    };
-    (extract_result(&arena, root, curves, ways), stats)
-}
-
 /// Finds the energy-minimal distribution of `total_ways` LLC ways among the
 /// cores described by `curves`.
 ///
@@ -734,7 +675,7 @@ pub fn optimize_partition(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> Option<Vec<(usize, CurvePoint)>> {
-    optimize_in_arena(curves, total_ways, true, Kernel::Chunked, Budget::Exact).0
+    cold_step(curves, total_ways, Kernel::Chunked).0
 }
 
 /// Like [`optimize_partition`], additionally returning the [`PruneStats`]
@@ -743,7 +684,7 @@ pub fn optimize_partition_with_stats(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats) {
-    optimize_in_arena(curves, total_ways, true, Kernel::Chunked, Budget::Exact)
+    cold_step(curves, total_ways, Kernel::Chunked)
 }
 
 /// The pre-chunking pruned scalar path, preserved so the perf gate can
@@ -753,7 +694,7 @@ pub fn optimize_partition_scalar(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats) {
-    optimize_in_arena(curves, total_ways, true, Kernel::Scalar, Budget::Exact)
+    cold_step(curves, total_ways, Kernel::Scalar)
 }
 
 /// Reference implementation running the full (unpruned) min-plus convolution
@@ -767,40 +708,47 @@ pub fn optimize_partition_unpruned(
     curves: &[EnergyCurve],
     total_ways: usize,
 ) -> Option<Vec<(usize, CurvePoint)>> {
-    optimize_in_arena(curves, total_ways, false, Kernel::Scalar, Budget::Exact).0
+    cold_step(curves, total_ways, Kernel::Unpruned).0
 }
 
-/// Sums per-core energies in the exact pairwise-reduction association order
-/// (adjacent pairs per round, odd node carried), so the result is an f64
-/// value the convolution itself could compute for that allocation. Using
-/// this — rather than a flat left-to-right sum — as the incumbent bound
-/// guarantees `bound >= optimum` *in f64 arithmetic*, not just
-/// mathematically: the root-cell minimum is `<=` every candidate value it
-/// scanned, and those values are built with this same association.
-fn tree_order_energy(values: &mut Vec<f64>) -> f64 {
-    debug_assert!(!values.is_empty());
-    while values.len() > 1 {
-        let mut write = 0;
-        let mut read = 0;
-        while read < values.len() {
-            if read + 1 < values.len() {
-                values[write] = values[read] + values[read + 1];
-                read += 2;
-            } else {
-                values[write] = values[read];
-                read += 1;
-            }
-            write += 1;
-        }
-        values.truncate(write);
-    }
-    values[0]
+/// One exact step of a fresh [`IncrementalOptimizer`] scanning with
+/// `kernel`: nothing is retained, so every row is built cold and no
+/// incumbent applies.
+fn cold_step(
+    curves: &[EnergyCurve],
+    total_ways: usize,
+    kernel: Kernel,
+) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats) {
+    let mut arena = IncrementalOptimizer {
+        kernel,
+        ..IncrementalOptimizer::default()
+    };
+    let dirty = vec![true; curves.len()];
+    let (allocation, stats, _) = arena.optimize(curves, &dirty, total_ways, Budget::Exact);
+    (allocation, stats)
 }
 
-/// A persistent-arena optimizer for the incremental (delta) invocation path
-/// of `CoordinatedRma`: between consecutive calls whose curve sets differ
-/// in only a few cores, it re-densifies the dirty leaf rows, recombines the
-/// inner nodes on their root paths, and reuses every other row verbatim.
+/// Which root cell an [`IncrementalOptimizer`] step unwinds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Budget {
+    /// Exactly `total_ways`: the cooperative step's exact-sum partition.
+    #[default]
+    Exact,
+    /// The first minimum over the budgets `cores..=total_ways`: the
+    /// slack-allowed optimum that equilibrium selection starts from
+    /// ([`crate::game::min_energy_equilibrium`]). Ties go to the fewest
+    /// total ways, then to the arena's split order.
+    Slack,
+}
+
+/// The min-plus arena behind every global step: the cooperative step and
+/// equilibrium selection of [`crate::CoordinatedRma`], on the delta path or
+/// off it, and the cold entry points above. Between calls whose curve sets
+/// differ in only a few cores, it re-densifies the dirty leaf rows,
+/// recombines the inner nodes on their root paths, and reuses every other
+/// row verbatim. A caller that keeps nothing between steps
+/// [`clears`](IncrementalOptimizer::clear) it first; the step then builds
+/// every row cold.
 ///
 /// Results are bit-identical to a cold [`optimize_partition`] call on the
 /// same curves (locked by unit and property tests): reused rows were
@@ -810,10 +758,17 @@ fn tree_order_energy(values: &mut Vec<f64>) -> f64 {
 pub struct IncrementalOptimizer {
     /// The retained reduction (arena + root) of the previous call, if any.
     state: Option<(Arena, NodeId)>,
-    /// Way budget the retained reduction was built for.
+    /// Way budget and root cell the retained reduction was built for.
     total_ways: usize,
+    budget: Budget,
+    /// Way counts of the previous [`Budget::Exact`] pick: the next exact
+    /// step's pruning incumbent.
+    last_ways: Option<Vec<usize>>,
     /// Reversed-row scratch shared by all recombinations.
     scratch: Vec<f64>,
+    /// Candidate scan of every combination (a reference kernel only in the
+    /// cold entry points above).
+    kernel: Kernel,
 }
 
 impl IncrementalOptimizer {
@@ -823,9 +778,11 @@ impl IncrementalOptimizer {
         IncrementalOptimizer::default()
     }
 
-    /// Drops the retained arena; the next call rebuilds cold.
+    /// Drops the retained arena and incumbent: the next call builds cold,
+    /// as on a fresh optimizer.
     pub fn clear(&mut self) {
         self.state = None;
+        self.last_ways = None;
     }
 
     /// Rows (leaf and inner) of the retained arena: what a call with
@@ -836,31 +793,34 @@ impl IncrementalOptimizer {
             .map_or(0, |(arena, _)| arena.nodes.len() as u64)
     }
 
-    /// Optimizes `curves` over `total_ways`, reusing every arena row whose
-    /// subtree inputs are unchanged. `dirty[i]` must be true whenever
-    /// `curves[i]` may differ (in any bit) from the curve passed at the
-    /// previous call; extra true entries cost work but never correctness.
+    /// Optimizes `curves` over `total_ways` and unwinds the root cell
+    /// `budget` selects, reusing every arena row whose subtree inputs are
+    /// unchanged. `dirty[i]` must be true whenever `curves[i]` may differ
+    /// (in any bit) from the curve passed at the previous call; extra true
+    /// entries cost work but never correctness.
     ///
-    /// `incumbent` is an upper bound on the optimal total energy, or
-    /// `f64::INFINITY` for none. The caller derives it from the previous
-    /// allocation evaluated on the *current* curves (see
-    /// [`incumbent_energy`]); it must be exact in f64 terms, which
-    /// `incumbent_energy`'s tree-order summation guarantees. The bound is
-    /// applied only to the root combination: a cell of any other row may be
-    /// consumed by a later (or future warm) combination, so every non-root
-    /// row must record exact minima, while the root row is recomputed
-    /// whenever anything is dirty and only its requested cell — whose true
-    /// minimum never exceeds a valid incumbent — is ever read.
+    /// A [`Budget::Exact`] step prunes its root row with an incumbent: the
+    /// previous exact pick evaluated on the current curves in the
+    /// reduction's association order (the private `incumbent_energy`), an
+    /// exact f64 upper bound on the optimum. The bound is applied only to
+    /// the root combination: a cell of any other row may be consumed by a
+    /// later (or future warm) combination, so every non-root row must record
+    /// exact minima, while the root row is recomputed whenever anything is
+    /// dirty and only its requested cell — whose true minimum never exceeds
+    /// a valid incumbent — is ever read. A [`Budget::Slack`] step reads the
+    /// whole root row, so it applies no incumbent, and a retained arena is
+    /// reused only under the budget it was built for: a slack read never
+    /// sees a root recombined under a finite incumbent.
     ///
-    /// Returns the allocation (as [`optimize_partition`]), the convolution
-    /// work counters for the rows actually recomputed, and the row-reuse
-    /// counters.
+    /// Returns the allocation (as [`optimize_partition`] for `Exact`), the
+    /// convolution work counters for the rows actually recomputed, and the
+    /// row-reuse counters.
     pub fn optimize(
         &mut self,
         curves: &[EnergyCurve],
         dirty: &[bool],
         total_ways: usize,
-        incumbent: f64,
+        budget: Budget,
     ) -> (Option<Vec<(usize, CurvePoint)>>, PruneStats, WarmStats) {
         let mut stats = PruneStats::default();
         let mut warm = WarmStats::default();
@@ -869,96 +829,116 @@ impl IncrementalOptimizer {
             return (None, stats, warm);
         }
         debug_assert_eq!(dirty.len(), curves.len());
+        let incumbent = match (&self.last_ways, budget) {
+            (Some(ways), Budget::Exact) => incumbent_energy(curves, ways),
+            _ => f64::INFINITY,
+        };
 
         // The retained arena is reusable only when the reduction topology —
-        // leaf count, per-leaf row widths and the way budget — is unchanged;
+        // leaf count (a reduction of `n` leaves has `2n - 1` nodes, leaves
+        // first), per-leaf row widths and the way budget — is unchanged;
         // offsets and row lengths are then identical, so dirty rows can be
         // patched in place.
-        let reusable = self.total_ways == total_ways
+        let reusable = (self.total_ways, self.budget) == (total_ways, budget)
             && self.state.as_ref().is_some_and(|(arena, _)| {
-                arena
-                    .nodes
-                    .iter()
-                    .take_while(|n| n.core != usize::MAX)
-                    .count()
-                    == curves.len()
+                arena.nodes.len() + 1 == 2 * curves.len()
                     && curves
                         .iter()
-                        .enumerate()
-                        .all(|(i, c)| arena.nodes[i].max_ways == c.max_ways())
+                        .zip(&arena.nodes)
+                        .all(|(c, n)| n.max_ways == c.max_ways())
             });
 
-        if !reusable {
-            let (arena, root) = build_reduction(
+        if reusable {
+            let (arena, root) = self.state.as_mut().expect("checked reusable");
+            let root = *root;
+            let mut node_dirty = vec![false; arena.nodes.len()];
+            for (i, curve) in curves.iter().enumerate() {
+                if dirty[i] {
+                    arena.redensify_leaf(i, curve);
+                    node_dirty[i] = true;
+                    warm.rows_recomputed += 1;
+                } else {
+                    warm.rows_reused += 1;
+                }
+            }
+            // Inner nodes follow their children in creation order, so a
+            // single ascending pass recombines exactly the dirty root paths.
+            // The root (the last node) is on every leaf's path, so it is
+            // recomputed — with the incumbent bound — whenever any leaf
+            // changed.
+            for id in curves.len()..arena.nodes.len() {
+                let n = &arena.nodes[id];
+                if node_dirty[n.left] || node_dirty[n.right] {
+                    let bound = if id == root { incumbent } else { f64::INFINITY };
+                    arena.recombine(id, self.kernel, bound, &mut self.scratch, &mut stats);
+                    node_dirty[id] = true;
+                    warm.rows_recomputed += 1;
+                } else {
+                    warm.rows_reused += 1;
+                }
+            }
+        } else {
+            let reduction = build_reduction(
                 curves,
                 total_ways,
-                true,
-                Kernel::Chunked,
+                self.kernel,
                 incumbent,
                 &mut self.scratch,
                 &mut stats,
             );
-            warm.rows_recomputed = arena.nodes.len() as u64;
-            let result = extract_result(&arena, root, curves, total_ways);
-            self.state = Some((arena, root));
-            self.total_ways = total_ways;
-            return (result, stats, warm);
+            warm.rows_recomputed = reduction.0.nodes.len() as u64;
+            self.state = Some(reduction);
+            (self.total_ways, self.budget) = (total_ways, budget);
         }
 
-        let (arena, root) = self.state.as_mut().expect("checked reusable");
-        let root = *root;
-        let num_leaves = curves.len();
-        let mut node_dirty = vec![false; arena.nodes.len()];
-        for (i, curve) in curves.iter().enumerate() {
-            if dirty[i] {
-                arena.redensify_leaf(i, curve);
-                node_dirty[i] = true;
-                warm.rows_recomputed += 1;
-            } else {
-                warm.rows_reused += 1;
-            }
+        let (arena, root) = self.state.as_ref().expect("built or patched above");
+        let ways = match budget {
+            Budget::Exact => total_ways,
+            // Strict `<`: the first minimum, on the fewest ways, wins ties.
+            Budget::Slack => (curves.len()..=total_ways).fold(curves.len(), |best, ways| {
+                if arena.energy_at(*root, ways) < arena.energy_at(*root, best) {
+                    ways
+                } else {
+                    best
+                }
+            }),
+        };
+        let allocation = extract_result(arena, *root, curves, ways);
+        if let (Budget::Exact, Some(allocation)) = (budget, &allocation) {
+            self.last_ways = Some(allocation.iter().map(|&(ways, _)| ways).collect());
         }
-        // Inner nodes follow their children in creation order, so a single
-        // ascending pass recombines exactly the dirty root paths. The root
-        // (the last node) is on every leaf's path, so it is recomputed —
-        // with the incumbent bound — whenever any leaf changed.
-        for id in num_leaves..arena.nodes.len() {
-            let n = &arena.nodes[id];
-            if node_dirty[n.left] || node_dirty[n.right] {
-                let bound = if id == root { incumbent } else { f64::INFINITY };
-                arena.recombine(
-                    id,
-                    true,
-                    Kernel::Chunked,
-                    bound,
-                    &mut self.scratch,
-                    &mut stats,
-                );
-                node_dirty[id] = true;
-                warm.rows_recomputed += 1;
-            } else {
-                warm.rows_reused += 1;
-            }
-        }
-        (extract_result(arena, root, curves, total_ways), stats, warm)
+        (allocation, stats, warm)
     }
 }
 
-/// Evaluates an allocation's total energy on `curves` in the reduction's
-/// tree association order (the private `tree_order_energy`): the value is an
-/// exact f64 upper bound on [`optimize_partition`]'s optimum whenever the
-/// allocation is feasible, and `f64::INFINITY` — a no-op incumbent —
-/// otherwise.
-pub fn incumbent_energy(curves: &[EnergyCurve], allocation: &[usize]) -> f64 {
+/// Evaluates an allocation's total energy on `curves`, summed in the
+/// reduction's own association order (adjacent pairs per round, the odd node
+/// carried), so the result is an f64 value the convolution itself could
+/// compute for that allocation. As an incumbent it is therefore an upper
+/// bound on the optimum *in f64 arithmetic*, not just mathematically: the
+/// root-cell minimum is `<=` every candidate value it scanned, and those
+/// values are built with this same association. `f64::INFINITY` — a no-op
+/// incumbent — when the allocation is infeasible or does not match `curves`.
+fn incumbent_energy(curves: &[EnergyCurve], allocation: &[usize]) -> f64 {
     if allocation.len() != curves.len() || curves.is_empty() {
         return f64::INFINITY;
     }
     let mut values: Vec<f64> = allocation
         .iter()
-        .enumerate()
-        .map(|(i, &w)| curves[i].energy(w))
+        .zip(curves)
+        .map(|(&w, curve)| curve.energy(w))
         .collect();
-    tree_order_energy(&mut values)
+    while values.len() > 1 {
+        let half = values.len().div_ceil(2);
+        for i in 0..half {
+            values[i] = match values.get(2 * i + 1) {
+                Some(right) => values[2 * i] + right,
+                None => values[2 * i],
+            };
+        }
+        values.truncate(half);
+    }
+    values[0]
 }
 
 /// Brute-force reference optimizer used to validate
@@ -1150,8 +1130,8 @@ mod tests {
     #[test]
     fn stats_count_all_candidates_when_unpruned() {
         let curves = vec![flat_curve(1.0, 8), flat_curve(2.0, 8)];
-        let (_, pruned_stats) = optimize_in_arena(&curves, 8, true, Kernel::Chunked, Budget::Exact);
-        let (_, full_stats) = optimize_in_arena(&curves, 8, false, Kernel::Scalar, Budget::Exact);
+        let (_, pruned_stats) = optimize_partition_with_stats(&curves, 8);
+        let (_, full_stats) = cold_step(&curves, 8, Kernel::Unpruned);
         assert_eq!(full_stats.pruned, 0);
         assert_eq!(
             pruned_stats.ops + pruned_stats.pruned,
@@ -1195,33 +1175,29 @@ mod tests {
         let mut warm_opt = IncrementalOptimizer::new();
         let all_dirty = vec![true; curves.len()];
         let (cold, _) = optimize_partition_with_stats(&curves, 16);
-        let (first, _, warm_stats) = warm_opt.optimize(&curves, &all_dirty, 16, f64::INFINITY);
+        let (first, _, warm_stats) = warm_opt.optimize(&curves, &all_dirty, 16, Budget::Exact);
         assert_eq!(first, cold);
         assert_eq!(warm_stats.rows_reused, 0, "first call builds everything");
 
-        // Patch one core at a time; every warm result must equal a cold
-        // rebuild, with and without the previous allocation as incumbent.
-        let mut last_alloc: Vec<usize> = first.unwrap().iter().map(|(w, _)| *w).collect();
+        // Patch one core at a time; every warm result, pruned with the
+        // previous allocation as incumbent, must equal a cold rebuild.
         for step in 0..6usize {
             let core = step % curves.len();
             curves[core] = sloped_curve(10.0 + step as f64, 0.3 + 0.05 * step as f64, 16);
             let mut dirty = vec![false; curves.len()];
             dirty[core] = true;
-            let incumbent = incumbent_energy(&curves, &last_alloc);
-            let (warm, _, warm_stats) = warm_opt.optimize(&curves, &dirty, 16, incumbent);
+            let (warm, _, warm_stats) = warm_opt.optimize(&curves, &dirty, 16, Budget::Exact);
             let cold = optimize_partition(&curves, 16);
             assert_eq!(warm, cold, "warm path diverged at step {step}");
             assert!(
                 warm_stats.rows_reused > 0,
                 "a single dirty core must reuse rows"
             );
-            last_alloc = warm.unwrap().iter().map(|(w, _)| *w).collect();
         }
 
         // No dirty cores: the retained arena answers without recomputation.
         let no_dirty = vec![false; curves.len()];
-        let incumbent = incumbent_energy(&curves, &last_alloc);
-        let (warm, stats, warm_stats) = warm_opt.optimize(&curves, &no_dirty, 16, incumbent);
+        let (warm, stats, warm_stats) = warm_opt.optimize(&curves, &no_dirty, 16, Budget::Exact);
         assert_eq!(warm, optimize_partition(&curves, 16));
         assert_eq!(warm_stats.rows_recomputed, 0);
         assert_eq!(stats.ops, 0, "nothing dirty, nothing scanned");
@@ -1231,11 +1207,11 @@ mod tests {
     fn incremental_rebuilds_on_topology_change() {
         let curves = mixed_curves();
         let mut warm_opt = IncrementalOptimizer::new();
-        warm_opt.optimize(&curves, &vec![true; curves.len()], 16, f64::INFINITY);
+        warm_opt.optimize(&curves, &vec![true; curves.len()], 16, Budget::Exact);
         // Different core count: the mask says clean, but the retained arena
         // must be discarded and rebuilt cold.
         let fewer = curves[..3].to_vec();
-        let (warm, _, warm_stats) = warm_opt.optimize(&fewer, &[false; 3], 16, f64::INFINITY);
+        let (warm, _, warm_stats) = warm_opt.optimize(&fewer, &[false; 3], 16, Budget::Exact);
         assert_eq!(warm, optimize_partition(&fewer, 16));
         assert_eq!(warm_stats.rows_reused, 0, "topology change must rebuild");
     }
@@ -1246,12 +1222,15 @@ mod tests {
         let (alloc, _) = optimize_partition_with_stats(&curves, 16);
         let alloc = alloc.unwrap();
         let ways: Vec<usize> = alloc.iter().map(|(w, _)| *w).collect();
-        let incumbent = incumbent_energy(&curves, &ways);
+        assert!(incumbent_energy(&curves, &ways).is_finite());
         // Re-optimizing with the optimum itself as the incumbent must not
         // perturb the result (the bound test is strict).
         let mut warm_opt = IncrementalOptimizer::new();
-        let (warm, _, _) = warm_opt.optimize(&curves, &vec![true; curves.len()], 16, incumbent);
-        assert_eq!(warm.unwrap(), alloc);
+        let all_dirty = vec![true; curves.len()];
+        for _ in 0..2 {
+            let (warm, _, _) = warm_opt.optimize(&curves, &all_dirty, 16, Budget::Exact);
+            assert_eq!(warm.unwrap(), alloc);
+        }
         // Infeasible allocations yield the no-op bound.
         assert_eq!(
             incumbent_energy(&curves, &vec![1; curves.len()]),

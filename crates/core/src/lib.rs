@@ -62,13 +62,13 @@ pub mod rma;
 pub use curve::{CurvePoint, EnergyCurve};
 pub use curve_builder::{CurveBuild, CurveBuilder};
 pub use game::{
-    best_response, distribute_slack, is_pure_nash, min_energy_equilibrium, total_energy,
-    GameConfig, GameOutcome, GameStats, PartitionAlgo,
+    best_response, is_pure_nash, min_energy_equilibrium, total_energy, GameConfig, GameOutcome,
+    GameStats, PartitionAlgo,
 };
 pub use global::{
-    exhaustive_partition, incumbent_energy, optimize_partition, optimize_partition_scalar,
-    optimize_partition_unpruned, optimize_partition_with_stats, IncrementalOptimizer, PruneStats,
-    WarmStats,
+    exhaustive_partition, optimize_partition, optimize_partition_scalar,
+    optimize_partition_unpruned, optimize_partition_with_stats, Budget, IncrementalOptimizer,
+    PruneStats, WarmStats,
 };
 pub use local::{LocalOptimizer, LocalOptimizerConfig};
 pub use memo::{CurveCache, CurveKey};

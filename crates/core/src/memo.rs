@@ -40,7 +40,7 @@ use qosrm_types::{ConfigMetrics, CoreObservation, IntervalStats, QosSpec};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A 128-bit cache key (two independent 64-bit digests).
 pub type CurveKey = (u64, u64);
@@ -336,6 +336,10 @@ fn same_metrics(a: &ConfigMetrics, b: &ConfigMetrics) -> bool {
 
 const NUM_SHARDS: usize = 16;
 
+/// One cache slot: filled once by whichever lookup builds it first, while
+/// concurrent lookups of the same key wait on it.
+type Entry = Arc<OnceLock<EnergyCurve>>;
+
 /// Default cache capacity in entries (~100 MB of 16-way curves). A long
 /// experiment session keeps inserting distinct `(config, QoS, observation)`
 /// keys forever, so an unbounded map would grow monotonically with total
@@ -348,6 +352,13 @@ pub const DEFAULT_MAX_ENTRIES: usize = 131_072;
 /// Shared (via `Arc`) between every manager instance of a scenario sweep;
 /// see [`crate::CoordinatedRma::with_curve_cache`].
 ///
+/// A miss is single-flight: each key maps to one entry that is built once,
+/// and a lookup that finds the entry — built, or still being built by
+/// another thread, which it then waits for — counts as a hit. Below
+/// capacity, `misses` therefore equals the number of distinct keys looked
+/// up, however the lookups interleave. Under epoch eviction the counts
+/// still depend on order: a key evicted and requested again is built again.
+///
 /// # Example
 ///
 /// ```
@@ -358,7 +369,7 @@ pub const DEFAULT_MAX_ENTRIES: usize = 131_072;
 /// assert_eq!(cache.hit_rate(), 0.0);
 /// ```
 pub struct CurveCache {
-    shards: Vec<Mutex<HashMap<CurveKey, EnergyCurve>>>,
+    shards: Vec<Mutex<HashMap<CurveKey, Entry>>>,
     max_entries_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -389,43 +400,42 @@ impl CurveCache {
         }
     }
 
-    fn shard(&self, key: CurveKey) -> &Mutex<HashMap<CurveKey, EnergyCurve>> {
+    fn shard(&self, key: CurveKey) -> &Mutex<HashMap<CurveKey, Entry>> {
         &self.shards[(key.0 % NUM_SHARDS as u64) as usize]
     }
 
     /// Returns the cached curve for `key`, or computes, stores and returns
-    /// it. The computation runs outside the shard lock, so concurrent
-    /// lookups of *different* keys never serialize on one computation
-    /// (a rare duplicated computation of the same key is deterministic and
-    /// therefore harmless).
+    /// it. The shard lock is held only to find or insert the key's entry;
+    /// the computation runs outside it, so lookups of *different* keys
+    /// never serialize on one computation, while a lookup of a key being
+    /// computed waits for that computation instead of repeating it.
     pub fn get_or_compute(
         &self,
         key: CurveKey,
         compute: impl FnOnce() -> EnergyCurve,
     ) -> EnergyCurve {
-        if let Some(curve) = self
-            .shard(key)
-            .lock()
-            .expect("curve shard poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return curve.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let curve = compute();
-        let mut shard = self.shard(key).lock().expect("curve shard poisoned");
-        if shard.len() >= self.max_entries_per_shard {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted_entries
-                .fetch_add(shard.len() as u64, Ordering::Relaxed);
-            shard.clear();
-        }
-        shard.insert(key, curve.clone());
-        curve
+        let entry = {
+            let mut shard = self.shard(key).lock().expect("curve shard poisoned");
+            if let Some(entry) = shard.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(entry)
+            } else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                if shard.len() >= self.max_entries_per_shard {
+                    // Waiters on an evicted in-flight entry hold its `Arc`,
+                    // so its build still reaches them.
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.evicted_entries
+                        .fetch_add(shard.len() as u64, Ordering::Relaxed);
+                    shard.clear();
+                }
+                Arc::clone(shard.entry(key).or_default())
+            }
+        };
+        entry.get_or_init(compute).clone()
     }
 
-    /// Number of cached curves.
+    /// Number of cached curves, counting entries still being built.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -438,12 +448,13 @@ impl CurveCache {
         self.len() == 0
     }
 
-    /// Lookups answered from the cache.
+    /// Lookups that found their key's entry, built or in flight.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that required a computation.
+    /// Lookups that inserted their key's entry: each one's curve is built
+    /// once.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -680,6 +691,36 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.hits() + cache.misses(), 0);
+    }
+
+    #[test]
+    fn racing_misses_on_one_key_build_once() {
+        use std::sync::atomic::AtomicUsize;
+        const THREADS: usize = 8;
+        let cache = CurveCache::new();
+        let started = AtomicUsize::new(0);
+        let builds = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let got = cache.get_or_compute((7, 7), || {
+                        // Build only once every thread has started its
+                        // lookup, so every lookup overlaps this build.
+                        while started.load(Ordering::SeqCst) < THREADS {
+                            std::thread::yield_now();
+                        }
+                        builds.fetch_add(1, Ordering::SeqCst);
+                        curve(7.0)
+                    });
+                    assert_eq!(got, curve(7.0));
+                });
+            }
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build per key");
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), THREADS as u64 - 1);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

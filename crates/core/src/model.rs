@@ -17,7 +17,7 @@
 //!   directly (isolates the effect of modeling error).
 
 use power_model::EnergyParams;
-use qosrm_types::{CoreObservation, CoreSetting, CoreSizeIdx, FreqLevel, PlatformConfig};
+use qosrm_types::{CoreObservation, CoreSizeIdx, FreqLevel, PlatformConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which performance model the resource manager uses.
@@ -249,22 +249,6 @@ impl PredictionModel {
             llc_misses: misses,
             energy_joules: energy,
         }
-    }
-
-    /// Predicts the outcome at a complete [`CoreSetting`].
-    pub fn predict_at(
-        &self,
-        observation: &CoreObservation,
-        platform: &PlatformConfig,
-        setting: CoreSetting,
-    ) -> Prediction {
-        self.predict(
-            observation,
-            platform,
-            setting.core_size,
-            setting.freq,
-            setting.ways,
-        )
     }
 }
 

@@ -54,17 +54,6 @@ impl OverheadModel {
             + self.instructions_per_reduction_cell * reductions * ways * ways
     }
 
-    /// The invocation cost on `platform` as a fraction of an execution
-    /// interval.
-    pub fn fraction_of_interval(&self, platform: &PlatformConfig, local_evaluations: usize) -> f64 {
-        self.invocation_instructions(
-            platform.num_cores,
-            platform.llc.associativity,
-            local_evaluations,
-        ) as f64
-            / platform.interval_instructions as f64
-    }
-
     /// Estimated instructions of one invocation from *measured* work
     /// counters: the builder's exact model-evaluation count and the global
     /// step's actually-updated convolution cells
@@ -119,7 +108,8 @@ mod tests {
         let model = OverheadModel::default();
         let platform = PlatformConfig::paper2(8);
         let evals = 16 * 3 * 13 + 1;
-        assert!(model.fraction_of_interval(&platform, evals) < 0.001);
+        let worst = model.invocation_instructions(platform.num_cores, 16, evals);
+        assert!((worst as f64 / platform.interval_instructions as f64) < 0.001);
     }
 
     #[test]
@@ -134,7 +124,7 @@ mod tests {
         assert!(measured < worst);
         assert!(
             model.fraction_of_interval_measured(&p, 300, 500)
-                < model.fraction_of_interval(&p, worst_evals)
+                < worst as f64 / p.interval_instructions as f64
         );
     }
 

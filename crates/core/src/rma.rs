@@ -2,9 +2,7 @@
 
 use crate::curve::{CurvePoint, EnergyCurve};
 use crate::game::{self, GameConfig, PartitionAlgo};
-use crate::global::{
-    incumbent_energy, optimize_partition_with_stats, IncrementalOptimizer, PruneStats,
-};
+use crate::global::{Budget, IncrementalOptimizer};
 use crate::local::{LocalOptimizer, LocalOptimizerConfig};
 use crate::memo::{self, CurveCache, CurveKey};
 use crate::model::ModelKind;
@@ -48,13 +46,16 @@ pub struct RmaConfig {
     /// Whether the manager takes the incremental delta path: each core's
     /// observation is compared bit for bit with its previous one, an
     /// unchanged core keeps its retained curve without rebuilding, the
-    /// cooperative global step re-runs a warm-row arena with the previous
-    /// allocation as its pruning incumbent, and an invocation that changed
-    /// nothing skips the global step. Results are bit-identical to the cold
-    /// path; only the *measured work* differs, which is why the paper's
-    /// constructors leave it off — the overhead experiments (E5/E9) report
-    /// the cold per-invocation cost. Like `partition_algo`, deliberately
-    /// absent from the configuration fingerprint.
+    /// global step (cooperative or NashEq) keeps its min-plus arena between
+    /// steps and recombines only the dirty cores' root paths — the
+    /// cooperative one pruned with the previous allocation as incumbent —
+    /// and an invocation that changed nothing skips the global step. Off the
+    /// delta path the arena is cleared before each step, so every step
+    /// builds it cold. Results are bit-identical either way; only the
+    /// *measured work* differs, which is why the paper's constructors leave
+    /// it off — the overhead experiments (E5/E9) report the cold
+    /// per-invocation cost. Like `partition_algo`, deliberately absent from
+    /// the configuration fingerprint.
     pub incremental: bool,
 }
 
@@ -138,23 +139,14 @@ pub struct RmaWorkCounters {
     /// observation changed — or no curve was retained — since the previous
     /// interval (only ticks in incremental mode).
     pub curves_patched: u64,
-    /// Arena rows the warm-started global step reused verbatim instead of
-    /// recomputing (only ticks in incremental mode). A skipped global step
-    /// counts the whole retained arena, as a warm step with nothing dirty
-    /// would.
+    /// Arena rows the global step — cooperative or NashEq — reused verbatim
+    /// instead of recomputing (only ticks in incremental mode). A skipped
+    /// global step counts the whole retained arena, as a warm step with
+    /// nothing dirty would.
     pub warm_rows_reused: u64,
     /// Full 4-wide chunk passes executed by the chunked min-plus kernel
     /// across all cooperative and equilibrium-selection global steps.
     pub chunked_conv_lanes: u64,
-}
-
-impl RmaWorkCounters {
-    /// Adds one min-plus reduction's work.
-    fn add_reduction(&mut self, stats: PruneStats) {
-        self.reduction_ops += stats.ops;
-        self.reduction_pruned += stats.pruned;
-        self.chunked_conv_lanes += stats.lanes;
-    }
 }
 
 impl std::fmt::Display for RmaWorkCounters {
@@ -248,12 +240,10 @@ pub struct CoordinatedRma {
     /// Cores whose curve changed since the last global step (delta path);
     /// sized like `curves`. Every global step consumes the mask.
     pending_dirty: Vec<bool>,
-    /// Warm-row arena retained between cooperative global steps (delta
-    /// path).
-    incremental_opt: IncrementalOptimizer,
-    /// Way allocation of the previous cooperative global step, evaluated on
-    /// the current curves as the pruning incumbent (delta path).
-    last_ways: Option<Vec<usize>>,
+    /// The min-plus arena of every cooperative and NashEq global step:
+    /// retained between steps on the delta path, cleared before each step
+    /// off it.
+    arena: IncrementalOptimizer,
     /// The setting the previous invocation returned, when that setting was
     /// a global-step result the step would return again (delta path); see
     /// the skip in [`ResourceManager::on_interval`].
@@ -292,8 +282,7 @@ impl CoordinatedRma {
             counters: RmaWorkCounters::default(),
             observations: vec![None; platform.num_cores],
             pending_dirty: vec![false; platform.num_cores],
-            incremental_opt: IncrementalOptimizer::new(),
-            last_ways: None,
+            arena: IncrementalOptimizer::new(),
             last_setting: None,
         }
     }
@@ -439,14 +428,14 @@ impl CoordinatedRma {
 
     /// Enables the incremental delta path (see [`RmaConfig::incremental`]):
     /// a core whose observation equals its previous one bit for bit keeps
-    /// its retained curve, the cooperative global step warm-starts from the
-    /// retained reduction arena with the previous allocation as its pruning
-    /// incumbent, and an invocation that changed nothing returns the
-    /// current setting without a global step. Every setting the manager
-    /// emits is bit-identical to the cold path — only the measured work
-    /// counters differ (`delta_invocations`, `curves_patched`,
-    /// `warm_rows_reused` tick; `curve_builds`, `reduction_ops` and the game
-    /// counters shrink).
+    /// its retained curve, the global step recombines only the dirty root
+    /// paths of the retained reduction arena (a cooperative step with the
+    /// previous allocation as its pruning incumbent), and an invocation
+    /// that changed nothing returns the current setting without a global
+    /// step. Every setting the manager emits is bit-identical to the cold
+    /// path — only the measured work counters differ (`delta_invocations`,
+    /// `curves_patched`, `warm_rows_reused` tick; `curve_builds`,
+    /// `reduction_ops` and the game counters shrink).
     pub fn with_incremental(mut self) -> Self {
         self.config.incremental = true;
         self
@@ -457,8 +446,7 @@ impl CoordinatedRma {
     fn clear_delta_state(&mut self, num_cores: usize) {
         self.observations = vec![None; num_cores];
         self.pending_dirty = vec![false; num_cores];
-        self.incremental_opt.clear();
-        self.last_ways = None;
+        self.arena.clear();
         self.last_setting = None;
     }
 
@@ -525,10 +513,11 @@ impl ResourceManager for CoordinatedRma {
     ///   an `S` is not remembered, and the next invocation runs the step.
     ///
     /// `S` passed validation when the step returned it. Every counter
-    /// ticks as the re-run would: a warm cooperative step with nothing
-    /// dirty recomputes no row and reuses the whole retained arena, which
-    /// the skip adds to `warm_rows_reused`; game steps are skipped with
-    /// their rounds.
+    /// ticks as the re-run would: an arena step (cooperative or NashEq)
+    /// with nothing dirty recomputes no row and reuses the whole retained
+    /// arena, which the skip adds to `warm_rows_reused` (best response keeps
+    /// no arena, so it adds nothing); game steps are skipped with their
+    /// rounds.
     fn on_interval(
         &mut self,
         core: CoreId,
@@ -624,9 +613,7 @@ impl ResourceManager for CoordinatedRma {
         // result is still applied, so the step would return it again (see
         // the method docs).
         if last_setting.as_ref() == Some(current) && !self.pending_dirty.contains(&true) {
-            if self.config.partition_algo == PartitionAlgo::Cooperative {
-                self.counters.warm_rows_reused += self.incremental_opt.retained_rows();
-            }
+            self.counters.warm_rows_reused += self.arena.retained_rows();
             self.last_setting = last_setting;
             return current.clone();
         }
@@ -639,35 +626,6 @@ impl ResourceManager for CoordinatedRma {
         let curves = &self.curves;
         let total_ways = self.platform.llc.associativity;
         let allocation = match self.config.partition_algo {
-            PartitionAlgo::Cooperative if self.config.incremental => {
-                // Warm path: unchanged cores' arena rows are reused
-                // verbatim, only dirty root paths are recombined, and the
-                // previous allocation — re-evaluated on the current curves
-                // in the reduction's association order, so it is an exact
-                // f64 upper bound — prunes the root row. The allocation is
-                // bit-identical to the cold path.
-                let incumbent = match &self.last_ways {
-                    Some(ways) => incumbent_energy(curves, ways),
-                    None => f64::INFINITY,
-                };
-                let (allocation, prune_stats, warm) = self.incremental_opt.optimize(
-                    curves,
-                    &self.pending_dirty,
-                    total_ways,
-                    incumbent,
-                );
-                self.counters.add_reduction(prune_stats);
-                self.counters.warm_rows_reused += warm.rows_reused;
-                if let Some(allocation) = &allocation {
-                    self.last_ways = Some(allocation.iter().map(|&(ways, _)| ways).collect());
-                }
-                allocation
-            }
-            PartitionAlgo::Cooperative => {
-                let (allocation, prune_stats) = optimize_partition_with_stats(curves, total_ways);
-                self.counters.add_reduction(prune_stats);
-                allocation
-            }
             PartitionAlgo::NashBestResponse => {
                 let (outcome, stats) =
                     game::best_response(curves, total_ways, &GameConfig::default());
@@ -675,14 +633,34 @@ impl ResourceManager for CoordinatedRma {
                 self.counters.best_response_evaluations += stats.evaluations;
                 outcome.map(|o| o.exact_sum_allocation(total_ways))
             }
-            PartitionAlgo::NashMinEnergyEquilibrium => {
-                let (outcome, stats, prune_stats) =
-                    game::min_energy_equilibrium(curves, total_ways);
-                self.counters.add_reduction(prune_stats);
-                self.counters.game_rounds += stats.rounds;
-                self.counters.best_response_evaluations += stats.evaluations;
-                self.counters.equilibria_examined += stats.equilibria_examined;
-                outcome.map(|o| o.exact_sum_allocation(total_ways))
+            algo => {
+                // One arena serves the cooperative step and equilibrium
+                // selection. Off the delta path it keeps nothing between
+                // steps, so each step builds every row cold with no
+                // incumbent. On it, unchanged cores' rows are reused
+                // verbatim and only dirty root paths are recombined. The
+                // allocation is bit-identical either way.
+                if !self.config.incremental {
+                    self.arena.clear();
+                }
+                let dirty = &self.pending_dirty;
+                let (allocation, reduction, warm) = if algo == PartitionAlgo::Cooperative {
+                    self.arena
+                        .optimize(curves, dirty, total_ways, Budget::Exact)
+                } else {
+                    let (outcome, stats, reduction, warm) =
+                        game::min_energy_equilibrium(&mut self.arena, curves, dirty, total_ways);
+                    self.counters.game_rounds += stats.rounds;
+                    self.counters.best_response_evaluations += stats.evaluations;
+                    self.counters.equilibria_examined += stats.equilibria_examined;
+                    let allocation = outcome.map(|o| o.exact_sum_allocation(total_ways));
+                    (allocation, reduction, warm)
+                };
+                self.counters.reduction_ops += reduction.ops;
+                self.counters.reduction_pruned += reduction.pruned;
+                self.counters.chunked_conv_lanes += reduction.lanes;
+                self.counters.warm_rows_reused += warm.rows_reused;
+                allocation
             }
         };
         self.pending_dirty.fill(false);
@@ -1136,86 +1114,94 @@ mod tests {
     #[test]
     fn incremental_manager_is_bit_identical_and_cheaper() {
         let p = platform();
-        let mut cold = CoordinatedRma::paper1(&p, vec![QosSpec::STRICT; 4]);
-        let mut delta = CoordinatedRma::paper1(&p, vec![QosSpec::STRICT; 4]).with_incremental();
-        cold.reset(4);
-        delta.reset(4);
+        // RM2 and NashEq both take their global step on the manager's arena.
+        let constructors: [fn(&PlatformConfig, Vec<QosSpec>) -> CoordinatedRma; 2] =
+            [CoordinatedRma::paper1, CoordinatedRma::nash_equilibrium];
+        for new_manager in constructors {
+            let mut cold = new_manager(&p, vec![QosSpec::STRICT; 4]);
+            let mut delta = new_manager(&p, vec![QosSpec::STRICT; 4]).with_incremental();
+            cold.reset(4);
+            delta.reset(4);
+            let name = cold.name().to_string();
 
-        // Three rounds over all cores: a cold round, a fully-recurring
-        // round (every observation matches), and a round where only core 2's
-        // observation changed.
-        let rounds = [
-            vec![
-                cache_sensitive_observation(0),
-                compute_observation(1),
-                streaming_observation(2),
-                compute_observation(3),
-            ],
-            vec![
-                cache_sensitive_observation(0),
-                compute_observation(1),
-                streaming_observation(2),
-                compute_observation(3),
-            ],
-            vec![
-                cache_sensitive_observation(0),
-                compute_observation(1),
-                cache_sensitive_observation(2),
-                compute_observation(3),
-            ],
-        ];
-        let mut cold_setting = SystemSetting::baseline(&p);
-        let mut delta_setting = SystemSetting::baseline(&p);
-        let mut after_round = Vec::new();
-        for (round, observations) in rounds.iter().enumerate() {
-            for (i, obs) in observations.iter().enumerate() {
-                cold_setting = cold.on_interval(CoreId(i), obs, &cold_setting);
-                delta_setting = delta.on_interval(CoreId(i), obs, &delta_setting);
-                assert_eq!(
-                    delta_setting, cold_setting,
-                    "delta path diverged at round {round}, core {i}"
-                );
+            // Three rounds over all cores: a cold round, a fully-recurring
+            // round (every observation matches), and a round where only core
+            // 2's observation changed.
+            let rounds = [
+                vec![
+                    cache_sensitive_observation(0),
+                    compute_observation(1),
+                    streaming_observation(2),
+                    compute_observation(3),
+                ],
+                vec![
+                    cache_sensitive_observation(0),
+                    compute_observation(1),
+                    streaming_observation(2),
+                    compute_observation(3),
+                ],
+                vec![
+                    cache_sensitive_observation(0),
+                    compute_observation(1),
+                    cache_sensitive_observation(2),
+                    compute_observation(3),
+                ],
+            ];
+            let mut cold_setting = SystemSetting::baseline(&p);
+            let mut delta_setting = SystemSetting::baseline(&p);
+            let mut after_round = Vec::new();
+            for (round, observations) in rounds.iter().enumerate() {
+                for (i, obs) in observations.iter().enumerate() {
+                    cold_setting = cold.on_interval(CoreId(i), obs, &cold_setting);
+                    delta_setting = delta.on_interval(CoreId(i), obs, &delta_setting);
+                    assert_eq!(
+                        delta_setting, cold_setting,
+                        "{name}: delta path diverged at round {round}, core {i}"
+                    );
+                }
+                after_round.push(delta.work_counters());
             }
-            after_round.push(delta.work_counters());
+            // The recurring round scans nothing: each invocation either
+            // skips its global step or runs it with nothing dirty, and
+            // either way counts the whole retained arena (2 * 4 - 1 rows).
+            assert_eq!(after_round[1].reduction_ops, after_round[0].reduction_ops);
+            assert_eq!(
+                after_round[1].warm_rows_reused - after_round[0].warm_rows_reused,
+                4 * 7,
+                "{name}"
+            );
+
+            let cold_counters = cold.work_counters();
+            let delta_counters = delta.work_counters();
+            assert_eq!(cold_counters.invocations, delta_counters.invocations);
+            // Round 2 recurs entirely and round 3 recurs on three cores:
+            // seven invocations reuse their curve, five rebuild.
+            assert_eq!(delta_counters.delta_invocations, 7);
+            assert_eq!(delta_counters.curves_patched, 5);
+            assert_eq!(delta_counters.curve_builds, 5);
+            assert_eq!(cold_counters.curve_builds, 12, "cold path always builds");
+            assert!(
+                delta_counters.reduction_ops < cold_counters.reduction_ops,
+                "{name}: warm rows and incumbent pruning must cut convolution \
+                 work ({} vs {})",
+                delta_counters.reduction_ops,
+                cold_counters.reduction_ops
+            );
+            assert!(delta_counters.warm_rows_reused > 0, "{name}");
+            assert_eq!(cold_counters.warm_rows_reused, 0);
+            assert_eq!(cold_counters.delta_invocations, 0);
+            assert!(delta_counters.chunked_conv_lanes > 0);
+            assert!(cold_counters.chunked_conv_lanes > 0);
+
+            // reset() drops the delta state: the next invocation is cold
+            // again.
+            delta.reset(4);
+            let baseline = SystemSetting::baseline(&p);
+            delta.on_interval(CoreId(0), &rounds[0][0], &baseline);
+            let counters = delta.work_counters();
+            assert_eq!(counters.delta_invocations, 0);
+            assert_eq!(counters.curves_patched, 1);
         }
-        // The recurring round skips all four global steps: no convolution
-        // work, and each skip counts the whole retained arena (2 * 4 - 1
-        // rows) as a warm step with nothing dirty would.
-        assert_eq!(after_round[1].reduction_ops, after_round[0].reduction_ops);
-        assert_eq!(
-            after_round[1].warm_rows_reused - after_round[0].warm_rows_reused,
-            4 * 7
-        );
-
-        let cold_counters = cold.work_counters();
-        let delta_counters = delta.work_counters();
-        assert_eq!(cold_counters.invocations, delta_counters.invocations);
-        // Round 2 recurs entirely and round 3 recurs on three cores: seven
-        // invocations reuse their curve, five rebuild.
-        assert_eq!(delta_counters.delta_invocations, 7);
-        assert_eq!(delta_counters.curves_patched, 5);
-        assert_eq!(delta_counters.curve_builds, 5);
-        assert_eq!(cold_counters.curve_builds, 12, "cold path always builds");
-        assert!(
-            delta_counters.reduction_ops < cold_counters.reduction_ops,
-            "warm rows + incumbent pruning must cut convolution work \
-             ({} vs {})",
-            delta_counters.reduction_ops,
-            cold_counters.reduction_ops
-        );
-        assert!(delta_counters.warm_rows_reused > 0);
-        assert_eq!(cold_counters.warm_rows_reused, 0);
-        assert_eq!(cold_counters.delta_invocations, 0);
-        assert!(delta_counters.chunked_conv_lanes > 0);
-        assert!(cold_counters.chunked_conv_lanes > 0);
-
-        // reset() drops the delta state: the next invocation is cold again.
-        delta.reset(4);
-        let baseline = SystemSetting::baseline(&p);
-        delta.on_interval(CoreId(0), &rounds[0][0], &baseline);
-        let counters = delta.work_counters();
-        assert_eq!(counters.delta_invocations, 0);
-        assert_eq!(counters.curves_patched, 1);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 use qosrm_core::{
-    best_response, exhaustive_partition, incumbent_energy, is_pure_nash, min_energy_equilibrium,
-    optimize_partition, optimize_partition_scalar, optimize_partition_unpruned,
-    optimize_partition_with_stats, total_energy, CoordinatedRma, CurvePoint, EnergyCurve,
-    GameConfig, GameOutcome, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig, ModelKind,
-    PartitionAlgo, RmaConfig,
+    best_response, exhaustive_partition, is_pure_nash, min_energy_equilibrium, optimize_partition,
+    optimize_partition_scalar, optimize_partition_unpruned, optimize_partition_with_stats,
+    total_energy, Budget, CoordinatedRma, CurvePoint, EnergyCurve, GameConfig, GameOutcome,
+    GameStats, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig, ModelKind,
+    PartitionAlgo, PruneStats, RmaConfig,
 };
 use qosrm_types::{
     AppId, CoreId, CoreObservation, CoreScalingProfile, CoreSizeIdx, FreqLevel, IntervalStats,
@@ -49,6 +49,30 @@ fn grid_curve_strategy(max_ways: usize) -> impl Strategy<Value = EnergyCurve> {
             steps.into_iter().map(|q| f64::from(q) * 0.25).collect(),
         )
     })
+}
+
+/// One step of a fresh arena: every row built cold, no incumbent.
+fn fresh_step(
+    curves: &[EnergyCurve],
+    total_ways: usize,
+    budget: Budget,
+) -> Option<Vec<(usize, CurvePoint)>> {
+    let dirty = vec![true; curves.len()];
+    IncrementalOptimizer::new()
+        .optimize(curves, &dirty, total_ways, budget)
+        .0
+}
+
+/// Equilibrium selection on a fresh arena.
+fn equilibrium(
+    curves: &[EnergyCurve],
+    total_ways: usize,
+) -> (Option<GameOutcome>, GameStats, PruneStats) {
+    let dirty = vec![true; curves.len()];
+    let mut arena = IncrementalOptimizer::new();
+    let (outcome, stats, reduction, _) =
+        min_energy_equilibrium(&mut arena, curves, &dirty, total_ways);
+    (outcome, stats, reduction)
 }
 
 proptest! {
@@ -156,8 +180,10 @@ proptest! {
 
     /// The warm-row incremental optimizer is bit-identical to a cold full
     /// rebuild over arbitrary sequences of single-core curve patches, with
-    /// the previous round's allocation seeding the pruning incumbent — the
-    /// exact flow of the manager's delta path.
+    /// the previous round's allocation seeding the exact step's pruning
+    /// incumbent — the exact flow of the manager's delta path. A retained
+    /// arena's slack pick, which equilibrium selection reads, equals a
+    /// fresh arena's after every patch too.
     #[test]
     fn incremental_arena_matches_cold_rebuild(
         curves in prop::collection::vec(curve_strategy(16), 2..6),
@@ -166,30 +192,24 @@ proptest! {
     ) {
         let mut curves = curves;
         let mut warm = IncrementalOptimizer::new();
-        let mut last_ways: Option<Vec<usize>> = None;
+        let mut slack = IncrementalOptimizer::new();
         let dirty = vec![true; curves.len()];
-        let (first, _, _) = warm.optimize(&curves, &dirty, total_ways, f64::INFINITY);
+        let (first, _, _) = warm.optimize(&curves, &dirty, total_ways, Budget::Exact);
         prop_assert_eq!(&first, &optimize_partition(&curves, total_ways));
-        if let Some(alloc) = &first {
-            last_ways = Some(alloc.iter().map(|&(w, _)| w).collect());
-        }
+        let (first, _, _) = slack.optimize(&curves, &dirty, total_ways, Budget::Slack);
+        prop_assert_eq!(&first, &fresh_step(&curves, total_ways, Budget::Slack));
         for (slot, replacement) in patches {
             let core = slot % curves.len();
             curves[core] = replacement;
             let mut dirty = vec![false; curves.len()];
             dirty[core] = true;
-            let incumbent = match &last_ways {
-                Some(ways) => incumbent_energy(&curves, ways),
-                None => f64::INFINITY,
-            };
-            let (patched, _, warm_stats) = warm.optimize(&curves, &dirty, total_ways, incumbent);
+            let (patched, _, warm_stats) = warm.optimize(&curves, &dirty, total_ways, Budget::Exact);
             let cold = optimize_partition(&curves, total_ways);
             prop_assert_eq!(&patched, &cold);
             prop_assert!(warm_stats.rows_reused > 0 || curves.len() == 2,
                 "a single-core patch must reuse sibling rows");
-            if let Some(alloc) = &patched {
-                last_ways = Some(alloc.iter().map(|&(w, _)| w).collect());
-            }
+            let (picked, _, _) = slack.optimize(&curves, &dirty, total_ways, Budget::Slack);
+            prop_assert_eq!(&picked, &fresh_step(&curves, total_ways, Budget::Slack));
         }
     }
 
@@ -577,7 +597,7 @@ proptest! {
         curves in prop::collection::vec(curve_strategy(8), 2..5),
     ) {
         let total_ways = 8usize;
-        let (outcome, stats, _) = min_energy_equilibrium(&curves, total_ways);
+        let (outcome, stats, _) = equilibrium(&curves, total_ways);
 
         let mut brute_best: Option<f64> = None;
         let mut vector = vec![1usize; curves.len()];
@@ -646,7 +666,7 @@ proptest! {
         }
         let coop = optimize_partition(&smoothed, total_ways);
         let (nash, _) = best_response(&curves, total_ways, &GameConfig::default());
-        let (equilibrium, _, _) = min_energy_equilibrium(&curves, total_ways);
+        let (equilibrium, _, _) = equilibrium(&curves, total_ways);
         prop_assert_eq!(coop.is_some(), nash.is_some());
         prop_assert_eq!(coop.is_some(), equilibrium.is_some());
         if let (Some(coop), Some(nash), Some(equilibrium)) = (coop, nash, equilibrium) {
@@ -681,8 +701,8 @@ proptest! {
             serde_json::to_string(&first.0).unwrap(),
             serde_json::to_string(&second.0).unwrap()
         );
-        let first = min_energy_equilibrium(&curves, total_ways);
-        let second = min_energy_equilibrium(&curves, total_ways);
+        let first = equilibrium(&curves, total_ways);
+        let second = equilibrium(&curves, total_ways);
         prop_assert_eq!(&first.1, &second.1);
         prop_assert_eq!(&first.2, &second.2);
         prop_assert_eq!(

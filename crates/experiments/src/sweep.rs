@@ -430,8 +430,8 @@ pub struct SweepOptions {
     pub memoize: bool,
     /// Run every manager on its incremental delta path
     /// ([`CoordinatedRma::with_incremental`]): recurring per-core
-    /// observations skip curve construction entirely, the cooperative
-    /// global step warm-starts from the retained reduction arena, and an
+    /// observations skip curve construction entirely, the cooperative and
+    /// NashEq global steps reuse the retained reduction arena, and an
     /// invocation that changed nothing skips the global step. Settings — and
     /// therefore sweep results — are bit-identical either way
     /// (`tests/sweep_equivalence.rs` locks that in), so the default turns

@@ -61,16 +61,6 @@ impl EnergyBreakdown {
             + self.transition
     }
 
-    /// Core-only share (dynamic + static).
-    pub fn core_total(&self) -> f64 {
-        self.core_dynamic + self.core_static
-    }
-
-    /// Memory-system share (LLC + DRAM).
-    pub fn memory_total(&self) -> f64 {
-        self.llc_dynamic + self.llc_static + self.dram_dynamic + self.dram_background
-    }
-
     /// Adds another breakdown component-wise (for accumulating over intervals
     /// or over cores).
     pub fn accumulate(&mut self, other: &EnergyBreakdown) {
@@ -230,7 +220,8 @@ mod tests {
         small.static_power_scale = 0.6;
         let e_small = model.interval_energy(&small);
         let e_medium = model.interval_energy(&usage());
-        assert!(e_small.core_total() < e_medium.core_total());
+        assert!(e_small.core_dynamic < e_medium.core_dynamic);
+        assert!(e_small.core_static < e_medium.core_static);
     }
 
     #[test]
@@ -272,6 +263,7 @@ mod tests {
         let e_fast = model.interval_energy(&usage());
         assert!(e_slow.core_static > e_fast.core_static);
         assert!((e_slow.core_static / e_fast.core_static - 2.0).abs() < 1e-9);
-        assert!(e_slow.memory_total() > e_fast.memory_total());
+        assert!(e_slow.llc_static > e_fast.llc_static);
+        assert!(e_slow.dram_background > e_fast.dram_background);
     }
 }

@@ -40,21 +40,6 @@ impl LlcGeometry {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.num_sets * self.associativity * self.line_bytes
-    }
-
-    /// Capacity of a single way across all sets, in bytes.
-    pub fn way_bytes(&self) -> usize {
-        self.num_sets * self.line_bytes
-    }
-
-    /// Number of cache lines that fit in `ways` ways.
-    pub fn lines_in_ways(&self, ways: usize) -> usize {
-        self.num_sets * ways
-    }
-
     /// Validates that the geometry is usable.
     pub fn validate(&self) -> Result<(), QosrmError> {
         if self.num_sets == 0 || self.associativity == 0 || self.line_bytes == 0 {
@@ -116,12 +101,6 @@ impl WayMask {
         let bits = self.0;
         (0..64usize).filter(move |w| (bits >> w) & 1 == 1)
     }
-
-    /// Whether this mask overlaps another.
-    #[inline]
-    pub fn intersects(&self, other: &WayMask) -> bool {
-        self.0 & other.0 != 0
-    }
 }
 
 /// A partition of the LLC ways among the cores: `ways[i]` is the number of
@@ -165,12 +144,6 @@ impl WayPartition {
         self.ways.len()
     }
 
-    /// Way count of core `core`.
-    #[inline]
-    pub fn ways_of(&self, core: usize) -> usize {
-        self.ways[core]
-    }
-
     /// The per-core way counts.
     #[inline]
     pub fn as_slice(&self) -> &[usize] {
@@ -180,11 +153,6 @@ impl WayPartition {
     /// Total number of ways assigned.
     pub fn total_ways(&self) -> usize {
         self.ways.iter().sum()
-    }
-
-    /// Sets the way count of a core.
-    pub fn set_ways(&mut self, core: usize, ways: usize) {
-        self.ways[core] = ways;
     }
 
     /// Validates the partition against an LLC geometry: every core gets at
@@ -226,11 +194,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn geometry_capacity() {
+    fn default_geometry_is_valid() {
         let g = LlcGeometry::default_4mib_16way();
-        assert_eq!(g.capacity_bytes(), 4 * 1024 * 1024);
-        assert_eq!(g.way_bytes(), 256 * 1024);
-        assert_eq!(g.lines_in_ways(2), 8192);
         assert!(g.validate().is_ok());
     }
 
@@ -286,8 +251,8 @@ mod tests {
         assert_eq!(masks.len(), 4);
         let mut seen = WayMask::EMPTY;
         for (i, m) in masks.iter().enumerate() {
-            assert_eq!(m.count(), p.ways_of(i));
-            assert!(!m.intersects(&seen));
+            assert_eq!(m.count(), p.as_slice()[i]);
+            assert_eq!(m.0 & seen.0, 0, "mask {i} overlaps an earlier one");
             seen = WayMask(seen.0 | m.0);
         }
         assert_eq!(seen.count(), 16);

@@ -181,11 +181,6 @@ impl PlatformConfig {
         &self.core_sizes[idx.index()]
     }
 
-    /// Parameters of the baseline core size.
-    pub fn baseline_core(&self) -> &CoreSizeParams {
-        self.core_size(self.baseline_core_size)
-    }
-
     /// Number of available core-size configurations.
     pub fn num_core_sizes(&self) -> usize {
         self.core_sizes.len()
@@ -204,12 +199,6 @@ impl PlatformConfig {
     /// Baseline VF level.
     pub fn baseline_freq(&self) -> FreqLevel {
         self.vf.baseline()
-    }
-
-    /// Size of the per-core configuration space
-    /// (`core sizes × VF levels × way counts`).
-    pub fn per_core_config_space(&self) -> usize {
-        self.core_sizes.len() * self.vf.num_levels() * self.llc.associativity
     }
 
     /// Validates internal consistency of the platform description.
@@ -284,7 +273,7 @@ mod tests {
     fn paper1_has_single_core_size() {
         let p = PlatformConfig::paper1(4);
         assert_eq!(p.num_core_sizes(), 1);
-        assert_eq!(p.baseline_core().name, "medium");
+        assert_eq!(p.core_size(p.baseline_core_size).name, "medium");
         assert_eq!(p.baseline_ways_per_core(), 4);
     }
 
@@ -292,9 +281,8 @@ mod tests {
     fn paper2_has_three_core_sizes() {
         let p = PlatformConfig::paper2(8);
         assert_eq!(p.num_core_sizes(), 3);
-        assert_eq!(p.baseline_core().name, "medium");
+        assert_eq!(p.core_size(p.baseline_core_size).name, "medium");
         assert_eq!(p.baseline_ways_per_core(), 2);
-        assert_eq!(p.per_core_config_space(), 3 * 13 * 16);
     }
 
     #[test]

@@ -40,12 +40,6 @@ pub struct VfPoint {
 }
 
 impl VfPoint {
-    /// Clock period in nanoseconds.
-    #[inline]
-    pub fn period_ns(&self) -> f64 {
-        1.0 / self.freq_ghz
-    }
-
     /// Frequency in Hz.
     #[inline]
     pub fn freq_hz(&self) -> f64 {
@@ -165,20 +159,6 @@ impl VfTable {
     pub fn max_level(&self) -> FreqLevel {
         FreqLevel(self.points.len() - 1)
     }
-
-    /// Finds the slowest level whose frequency is at least `freq_ghz`,
-    /// or `None` if even the fastest level is slower.
-    pub fn slowest_at_least(&self, freq_ghz: f64) -> Option<FreqLevel> {
-        self.points
-            .iter()
-            .position(|p| p.freq_ghz >= freq_ghz)
-            .map(FreqLevel)
-    }
-
-    /// Ratio of the voltage at `level` to the baseline voltage.
-    pub fn voltage_ratio(&self, level: FreqLevel) -> f64 {
-        self.point(level).voltage / self.point(self.baseline).voltage
-    }
 }
 
 #[cfg(test)]
@@ -238,23 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn slowest_at_least_finds_level() {
-        let t = VfTable::default_13_levels();
-        let lvl = t.slowest_at_least(1.9).unwrap();
-        assert!((t.point(lvl).freq_ghz - 2.0).abs() < 1e-9);
-        assert_eq!(t.slowest_at_least(0.1).unwrap(), FreqLevel(0));
-        assert!(t.slowest_at_least(5.0).is_none());
-    }
-
-    #[test]
-    fn voltage_ratio_baseline_is_one() {
-        let t = VfTable::default_13_levels();
-        assert!((t.voltage_ratio(t.baseline()) - 1.0).abs() < 1e-12);
-        assert!(t.voltage_ratio(FreqLevel(0)) < 1.0);
-        assert!(t.voltage_ratio(t.max_level()) > 1.0);
-    }
-
-    #[test]
     fn with_baseline_changes_only_baseline() {
         let t = VfTable::default_13_levels();
         let t2 = t.with_baseline(FreqLevel(4)).unwrap();
@@ -263,12 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn period_and_hz() {
+    fn hz_from_ghz() {
         let p = VfPoint {
             freq_ghz: 2.0,
             voltage: 1.0,
         };
-        assert!((p.period_ns() - 0.5).abs() < 1e-12);
         assert!((p.freq_hz() - 2.0e9).abs() < 1.0);
     }
 }

@@ -78,12 +78,6 @@ impl IntervalStats {
     pub fn ips(&self) -> f64 {
         self.instructions as f64 / self.elapsed_seconds.max(f64::MIN_POSITIVE)
     }
-
-    /// Average time per instruction (the metric used by the co-phase
-    /// simulator to find the next global event).
-    pub fn tpi(&self) -> f64 {
-        self.elapsed_seconds / self.instructions.max(1) as f64
-    }
 }
 
 /// Cache-miss profile produced by the Auxiliary Tag Directory: the number of
@@ -111,11 +105,6 @@ impl MissProfile {
         self.misses[ways - 1]
     }
 
-    /// Misses per kilo-instruction with `ways` allocated ways.
-    pub fn mpki_at(&self, ways: usize, instructions: u64) -> f64 {
-        self.misses_at(ways) as f64 / (instructions.max(1) as f64 / 1000.0)
-    }
-
     /// The underlying per-way miss counts.
     pub fn as_slice(&self) -> &[u64] {
         &self.misses
@@ -136,16 +125,6 @@ impl MissProfile {
             }
         }
         Ok(())
-    }
-
-    /// Variation of MPKI across the profile relative to the value at
-    /// `baseline_ways`, used by the paper to classify applications as cache
-    /// sensitive or insensitive.
-    pub fn sensitivity_around(&self, baseline_ways: usize, instructions: u64) -> f64 {
-        let base = self.mpki_at(baseline_ways, instructions).max(1e-9);
-        let lo = self.mpki_at(1, instructions);
-        let hi = self.mpki_at(self.max_ways(), instructions);
-        (lo - hi).abs() / base
     }
 }
 
@@ -321,7 +300,6 @@ mod tests {
         assert!((s.apki() - 20.0).abs() < 1e-12);
         assert!((s.measured_mlp() - 2.0).abs() < 1e-12);
         assert!((s.ips() - 100_000_000.0 / 0.075).abs() < 1.0);
-        assert!((s.tpi() - 0.075 / 1e8).abs() < 1e-15);
     }
 
     #[test]
@@ -338,22 +316,12 @@ mod tests {
         assert_eq!(p.max_ways(), 4);
         assert_eq!(p.misses_at(1), 1000);
         assert_eq!(p.misses_at(4), 500);
-        assert!((p.mpki_at(2, 1_000_000) - 0.8).abs() < 1e-12);
         assert!(p.validate().is_ok());
 
         let bad = MissProfile::new(vec![100, 200]);
         assert!(bad.validate().is_err());
         let empty = MissProfile::new(vec![]);
         assert!(empty.validate().is_err());
-    }
-
-    #[test]
-    fn miss_profile_sensitivity() {
-        let sensitive = MissProfile::new(vec![10_000, 6_000, 3_000, 500]);
-        let insensitive = MissProfile::new(vec![1_000, 1_000, 1_000, 1_000]);
-        let n = 1_000_000u64;
-        assert!(sensitive.sensitivity_around(2, n) > insensitive.sensitivity_around(2, n));
-        assert!(insensitive.sensitivity_around(2, n) < 1e-9);
     }
 
     #[test]

@@ -70,14 +70,6 @@ impl SimulationResult {
     pub fn execution_seconds(&self, app: AppId) -> f64 {
         self.per_app[app.index()].execution_seconds
     }
-
-    /// Longest first-round execution time across applications (the makespan).
-    pub fn makespan_seconds(&self) -> f64 {
-        self.per_app
-            .iter()
-            .map(|a| a.execution_seconds)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Statistics of per-interval QoS violations (Paper II model-accuracy
@@ -146,16 +138,6 @@ impl Comparison {
     /// Number of significant QoS violations.
     pub fn num_violations(&self) -> usize {
         self.violations.len()
-    }
-
-    /// Mean magnitude of the significant violations (0 when there are none).
-    pub fn mean_violation(&self) -> f64 {
-        if self.violations.is_empty() {
-            0.0
-        } else {
-            self.violations.iter().map(|v| v.magnitude()).sum::<f64>()
-                / self.violations.len() as f64
-        }
     }
 
     /// Largest violation magnitude (0 when there are none).
@@ -341,8 +323,7 @@ mod tests {
         // App 0 slowed by 0.5 % -> not significant; app 1 by 6.7 % -> violation.
         assert_eq!(cmp.num_violations(), 1);
         assert_eq!(cmp.violations[0].app, AppId(1));
-        assert!(cmp.mean_violation() > 0.05);
-        assert!(cmp.max_violation() >= cmp.mean_violation());
+        assert!(cmp.max_violation() > 0.05);
         // Interval stats: app0 interval +5 % violated, app1 +8.3 % violated.
         assert_eq!(cmp.interval_stats.total_intervals, 2);
         assert_eq!(cmp.interval_stats.violations, 2);
@@ -361,13 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn makespan_and_accessors() {
+    fn execution_seconds_reads_the_app() {
         let r = result(
             "Baseline",
             vec![app_result(0, 10.0, 1.0), app_result(1, 14.0, 1.0)],
             vec![],
         );
-        assert!((r.makespan_seconds() - 14.0).abs() < 1e-12);
         assert!((r.execution_seconds(AppId(0)) - 10.0).abs() < 1e-12);
     }
 

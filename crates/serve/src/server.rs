@@ -691,8 +691,7 @@ fn handle_list(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
         metas.sort_by(|a, b| a.id.cmp(&b.id));
         metas.iter().map(|meta| shared.status_of(meta)).collect()
     };
-    let body = serde_json::to_string(&statuses).unwrap_or_else(|_| "[]".to_string());
-    write_json(stream, 200, "OK", &body)
+    write_ok(stream, &statuses)
 }
 
 fn handle_status(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
@@ -701,17 +700,21 @@ fn handle_status(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::
         registry.runs.get(id).map(|meta| shared.status_of(meta))
     };
     match status {
-        Some(status) => {
-            let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
-            write_json(stream, 200, "OK", &body)
-        }
-        None => write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        ),
+        Some(status) => write_ok(stream, &status),
+        None => run_not_found(stream, id),
     }
+}
+
+/// Writes a 200 answer whose body is `payload` as JSON.
+fn write_ok<T: Serialize>(stream: &mut TcpStream, payload: &T) -> std::io::Result<()> {
+    let body = serde_json::to_string(payload).map_err(|e| std::io::Error::other(e.to_string()))?;
+    write_json(stream, 200, "OK", &body)
+}
+
+/// Writes the 404 answer for a run id the daemon does not know.
+fn run_not_found(stream: &mut TcpStream, id: &str) -> std::io::Result<()> {
+    let error = WireError::new("RunNotFound", format!("no run with id {id}"));
+    write_error(stream, 404, "Not Found", &error)
 }
 
 /// Streams completed outcome lines as JSONL, tailing the run until it
@@ -727,12 +730,7 @@ fn handle_stream(
     request: &Request,
 ) -> std::io::Result<()> {
     if shared.state_of(id).is_none() {
-        return write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        );
+        return run_not_found(stream, id);
     }
     let mut skip = request
         .query_param("from")
@@ -792,16 +790,8 @@ fn handle_stream(
 }
 
 fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
-    let state = match shared.state_of(id) {
-        Some(state) => state,
-        None => {
-            return write_error(
-                stream,
-                404,
-                "Not Found",
-                &WireError::new("RunNotFound", format!("no run with id {id}")),
-            )
-        }
+    let Some(state) = shared.state_of(id) else {
+        return run_not_found(stream, id);
     };
     if state != RunState::Complete {
         return write_error(
@@ -818,13 +808,9 @@ fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::
         );
     }
     match experiments::stream::merge(&shared.run_dir(id)) {
-        Ok(result) => {
-            // The exact bytes `SweepResult::save` writes for the offline
-            // CLI path — the serving contract is byte-identity with it.
-            let body =
-                serde_json::to_string(&result).map_err(|e| std::io::Error::other(e.to_string()))?;
-            write_response(stream, 200, "OK", "application/json", body.as_bytes())
-        }
+        // The exact bytes `SweepResult::save` writes for the offline CLI
+        // path — the serving contract is byte-identity with it.
+        Ok(result) => write_ok(stream, &result),
         Err(e) => write_error(
             stream,
             500,
@@ -835,50 +821,33 @@ fn handle_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::
 }
 
 fn handle_cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> std::io::Result<()> {
-    let status = {
-        let mut registry = shared.registry.lock_unpoisoned();
-        match registry.runs.get(id).map(|meta| meta.state) {
-            None => None,
-            Some(state) => {
-                if state == RunState::Queued {
-                    registry.queue.remove(id);
-                }
-                if !state.is_terminal() {
-                    let meta = registry.runs.get_mut(id).unwrap();
-                    meta.state = RunState::Cancelled;
-                    let snapshot = meta.clone();
-                    ServeCounters::bump(&shared.counters.runs_cancelled);
-                    drop(registry);
-                    let _ = snapshot.save(&shared.run_dir(id));
-                    shared.log(&format!("run {id} -> cancelled"));
-                    // Stop serving the run's leases: external workers pinned
-                    // to it resolve it as finished, and a worker held on it
-                    // is released.
-                    if let Some(coordinator) = shared.coordinators.lock_unpoisoned().remove(id) {
-                        coordinator.close();
-                    }
-                    shared.hub.signal.bump();
-                    Some(shared.status_of(&snapshot))
-                } else {
-                    let meta = registry.runs.get(id).unwrap().clone();
-                    drop(registry);
-                    Some(shared.status_of(&meta))
-                }
-            }
-        }
+    let mut registry = shared.registry.lock_unpoisoned();
+    let Some(meta) = registry.runs.get_mut(id) else {
+        drop(registry);
+        return run_not_found(stream, id);
     };
-    match status {
-        Some(status) => {
-            let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
-            write_json(stream, 200, "OK", &body)
-        }
-        None => write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        ),
+    let state = meta.state;
+    if state.is_terminal() {
+        let meta = meta.clone();
+        drop(registry);
+        return write_ok(stream, &shared.status_of(&meta));
     }
+    meta.state = RunState::Cancelled;
+    let meta = meta.clone();
+    if state == RunState::Queued {
+        registry.queue.remove(id);
+    }
+    ServeCounters::bump(&shared.counters.runs_cancelled);
+    drop(registry);
+    let _ = meta.save(&shared.run_dir(id));
+    shared.log(&format!("run {id} -> cancelled"));
+    // Stop serving the run's leases: external workers pinned to it resolve
+    // it as finished, and a worker held on it is released.
+    if let Some(coordinator) = shared.coordinators.lock_unpoisoned().remove(id) {
+        coordinator.close();
+    }
+    shared.hub.signal.bump();
+    write_ok(stream, &shared.status_of(&meta))
 }
 
 fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
@@ -961,8 +930,7 @@ fn handle_stats(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> 
         rma,
         leases: shared.hub.counters.snapshot(),
     };
-    let body = serde_json::to_string(&report).unwrap_or_else(|_| "{}".to_string());
-    write_json(stream, 200, "OK", &body)
+    write_ok(stream, &report)
 }
 
 /// Worker: claims queued runs and executes them shard by shard, honouring

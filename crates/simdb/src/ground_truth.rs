@@ -32,15 +32,6 @@ impl GroundTruth {
         }
     }
 
-    /// Creates an evaluator with an explicit energy model.
-    pub fn with_energy_model(platform: &PlatformConfig, energy_model: EnergyModel) -> Self {
-        GroundTruth {
-            platform: platform.clone(),
-            interval_model: IntervalModel::new(platform),
-            energy_model,
-        }
-    }
-
     /// The platform.
     pub fn platform(&self) -> &PlatformConfig {
         &self.platform

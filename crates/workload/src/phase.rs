@@ -105,12 +105,6 @@ impl PhaseSpec {
     pub fn mean_access_gap(&self) -> f64 {
         1000.0 / self.apki
     }
-
-    /// Total number of distinct lines across all regions (the phase's
-    /// resident working set, ignoring the streaming component).
-    pub fn working_set_lines(&self) -> u64 {
-        self.regions.iter().map(|r| r.lines).sum()
-    }
 }
 
 /// Convenience builders for the archetypes used by the synthetic suite.
@@ -242,7 +236,5 @@ mod tests {
     fn derived_quantities() {
         let p = PhaseSpec::streaming("s", 20.0, 8);
         assert!((p.mean_access_gap() - 50.0).abs() < 1e-12);
-        let d = PhaseSpec::cache_sensitive_dependent("d", 10.0, 8000);
-        assert_eq!(d.working_set_lines(), 8000 + 1000);
     }
 }

@@ -128,16 +128,16 @@ impl PhaseTrace {
             .map(|c| c as f64 / self.sequence.len() as f64)
             .collect()
     }
-
-    /// Number of phase switches in the trace.
-    pub fn num_switches(&self) -> usize {
-        self.sequence.windows(2).filter(|w| w[0] != w[1]).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of phase switches in the trace.
+    fn switches(trace: &PhaseTrace) -> usize {
+        trace.sequence.windows(2).filter(|w| w[0] != w[1]).count()
+    }
 
     #[test]
     fn generated_trace_matches_weights() {
@@ -154,12 +154,9 @@ mod tests {
     fn traces_have_runs_not_noise() {
         let trace = PhaseTrace::generate(&[0.5, 0.5], 300, 10, 3).unwrap();
         // With mean run length 10, far fewer than 150 switches are expected.
-        assert!(
-            trace.num_switches() < 80,
-            "switches={}",
-            trace.num_switches()
-        );
-        assert!(trace.num_switches() > 2);
+        let switches = switches(&trace);
+        assert!(switches < 80, "switches={switches}");
+        assert!(switches > 2);
     }
 
     #[test]
@@ -193,7 +190,7 @@ mod tests {
     fn single_phase_trace() {
         let trace = PhaseTrace::generate(&[1.0], 50, 10, 2).unwrap();
         assert_eq!(trace.len(), 50);
-        assert_eq!(trace.num_switches(), 0);
+        assert_eq!(switches(&trace), 0);
         assert!((trace.weights()[0] - 1.0).abs() < 1e-12);
     }
 }
