@@ -1,7 +1,7 @@
 //! The CI performance-regression gate.
 //!
 //! [`bench_gate`](../../bench_gate/index.html) (the `bench_gate` binary) runs
-//! the eight fixed, deterministic workloads of one table and writes one flat
+//! the nine fixed, deterministic workloads of one table and writes one flat
 //! `qosrm-bench-gate/v1` report per workload, `BENCH_<name>.json`. In a
 //! report every integer but `repetitions` is a deterministic work counter,
 //! exact-compared against the baseline; a float is a wall time when the
@@ -45,7 +45,10 @@ use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use workload::{paper1_workloads, MixPopulation, SynthSpec, WorkloadMix};
+use workload::{
+    paper1_workloads, CharacterizationConfig, MixPopulation, PhaseCharacterizer, PhaseSpec,
+    SynthSpec, WorkloadMix,
+};
 
 /// Schema tag embedded in every report so downstream tooling can detect
 /// format changes.
@@ -96,7 +99,7 @@ struct Scenario {
 }
 
 /// The gate, in run order.
-const SCENARIOS: [Scenario; 8] = [
+const SCENARIOS: [Scenario; 9] = [
     Scenario {
         name: "simulator",
         walls: &[
@@ -178,6 +181,12 @@ const SCENARIOS: [Scenario; 8] = [
             };
             run_search(reps, &config)
         },
+    },
+    Scenario {
+        name: "characterize",
+        walls: &[("wall_seconds", "characterize", WALL_BAND)],
+        rules: &[],
+        run: |reps| run_characterize(reps, 2, usize::MAX),
     },
 ];
 
@@ -1038,6 +1047,61 @@ fn run_search(reps: usize, config: &SearchConfig) -> Measured {
     (workload, metrics)
 }
 
+/// The database build's inner loop: every phase of the first `benchmarks`
+/// suite benchmarks characterized serially on the 4-core Paper I and
+/// Paper II platforms in quick mode, `rounds` times per repetition (sized
+/// so a sample runs for about 200 ms). The phase count, the main-slice
+/// accesses and a checksum over every characterization's exact and ATD
+/// miss curves and leading-miss matrix are exact-compared, so a change
+/// that moves one characterized count fails the gate.
+fn run_characterize(reps: usize, rounds: usize, benchmarks: usize) -> Measured {
+    let platforms = [PlatformConfig::paper1(4), PlatformConfig::paper2(4)];
+    let characterizers =
+        platforms.map(|p| PhaseCharacterizer::new(&p, CharacterizationConfig::quick_for_tests(&p)));
+    let names = workload::benchmark_names().into_iter().take(benchmarks);
+    let mut phases: Vec<(PhaseSpec, u64)> = Vec::new();
+    for profile in names.filter_map(workload::benchmark) {
+        for (i, spec) in profile.phases.iter().enumerate() {
+            phases.push((spec.clone(), profile.phase_seed(i)));
+        }
+    }
+
+    let ([wall], counters) = best_of(true, reps, 1, || {
+        timed(|| {
+            let [mut characterized, mut accesses, mut checksum] = [0u64; 3];
+            for _ in 0..rounds {
+                for characterizer in &characterizers {
+                    for (spec, seed) in &phases {
+                        let phase = characterizer.characterize(spec, *seed);
+                        characterized += 1;
+                        accesses += phase.llc_accesses / characterizer.config().scale;
+                        let curves = phase.misses_per_way.iter().chain(&phase.atd_misses_per_way);
+                        checksum += curves
+                            .chain(phase.leading_misses.iter().flatten())
+                            .sum::<u64>();
+                    }
+                }
+            }
+            [characterized, accesses, checksum]
+        })
+    });
+
+    let [characterized, accesses, checksum] = counters;
+    let workload = format!(
+        "{} suite phases x {{paper1-4c, paper2-4c}} quick-mode characterization, serial, \
+         {rounds} rounds",
+        phases.len()
+    );
+    let metrics = vec![
+        ("wall_seconds", Float(wall)),
+        ("phases", UInt(characterized)),
+        ("main_accesses", UInt(accesses)),
+        ("curve_checksum", UInt(checksum)),
+        ("phases_per_sec", per_sec(characterized, wall)),
+    ];
+    (workload, metrics)
+}
+
 /// Compares a fresh report against its committed baseline under the
 /// scenario's checks and returns the failed ones (empty when it passes).
 /// Walls are banded after re-expressing the fresh measurement in
@@ -1218,7 +1282,7 @@ mod tests {
 
     /// Every scenario at a size small enough for a debug build, in
     /// `SCENARIOS` order.
-    const SMALL: [fn(usize) -> Measured; 8] = [
+    const SMALL: [fn(usize) -> Measured; 9] = [
         |reps| run_simulator(reps, 2, 1),
         |reps| run_global_opt(reps, 2),
         |reps| run_local_opt(reps, 2),
@@ -1237,6 +1301,7 @@ mod tests {
             };
             run_search(reps, &config)
         },
+        |reps| run_characterize(reps, 1, 1),
     ];
 
     #[test]
@@ -1260,8 +1325,8 @@ mod tests {
             reports.push((scenario.name, report));
         }
 
-        // The check list: 11 banded walls (only the delta manager's band
-        // doubled), 39 exact counters and 3 rules.
+        // The check list: 12 banded walls (only the delta manager's band
+        // doubled), 42 exact counters and 3 rules.
         let walls = SCENARIOS.iter().flat_map(|s| s.walls);
         let checks: Vec<_> = walls
             .map(|w| format!("{} x{}", w.1, w.2 / WALL_BAND))
@@ -1270,11 +1335,11 @@ mod tests {
             checks.join(", "),
             "simulator loop x1, simulator managed x1, global_opt x1, local_opt builder x1, \
              best_response x1, serve x1, kernels chunked conv x1, kernels delta manager x2, \
-             dist coordinated x1, dist single-process x1, search x1"
+             dist coordinated x1, dist single-process x1, search x1, characterize x1"
         );
         let counted: usize = reports.iter().map(|(_, r)| r.counters().count()).sum();
         let rules: usize = SCENARIOS.iter().map(|s| s.rules.len()).sum();
-        assert_eq!((counted, rules), (39, 3));
+        assert_eq!((counted, rules), (42, 3));
 
         // Every counter measures real work except the dist lease faults:
         // every shard is granted exactly once, and nothing expires, is

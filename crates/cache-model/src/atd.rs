@@ -82,8 +82,7 @@ impl Atd {
     /// directory and returns the miss profile (misses as a function of the
     /// way allocation, scaled to the full cache).
     pub fn observe_interval(&mut self, trace: &AccessTrace) -> MissProfile {
-        let profile = self.profiler.replay(trace);
-        profile.miss_curve(self.geometry.associativity)
+        self.profiler.replay(trace).miss_curve()
     }
 
     /// Warms the directory without recording an interval profile.

@@ -8,7 +8,10 @@
 //! * a one-pass **LRU stack-distance profiler** ([`profile::StackDistanceProfiler`])
 //!   that yields the miss count for *every* possible way allocation
 //!   simultaneously (the property exploited by utility-based cache
-//!   partitioning),
+//!   partitioning), and the characterization's one replay per slice
+//!   ([`profile::SliceReplay`]) that fills the exact and the ATD-sampled
+//!   miss histograms plus the compact per-access records the leading-miss
+//!   kernel reads,
 //! * the **Auxiliary Tag Directory** hardware model ([`atd::Atd`]) — a
 //!   set-sampled shadow directory with per-way hit counters, as used by the
 //!   paper to predict the cache-miss profile of each application at run time,
@@ -34,5 +37,5 @@ pub use access::{Access, AccessTrace};
 pub use atd::{Atd, AtdConfig};
 pub use cache::{AccessOutcome, CacheStats, PartitionedCache};
 pub use mlp_atd::{LeadingMissMatrix, MlpAtd, MlpAtdConfig, OverlapParams};
-pub use profile::{ReplayProfile, StackDistanceProfiler};
+pub use profile::{MissHistogram, ReplayProfile, SliceReplay, StackDistanceProfiler};
 pub use replacement::{LruStack, ReplacementPolicy};

@@ -9,9 +9,16 @@
 //! detect such overlapping misses for every combination of core size and way
 //! allocation, enabling the resource manager to predict MLP when it changes
 //! the core configuration.
+//!
+//! The counting itself is [`crate::ReplayProfile::leading_miss_matrix`]: one
+//! branch-free kernel that runs the overlap-group state machine of every way
+//! count of a core size together, from the compact records of one replay.
+//! The characterization calls it on its one exact replay of each slice
+//! ([`crate::SliceReplay`]); [`MlpAtd`] calls it on the replay of its own
+//! shadow directory.
 
 use crate::access::AccessTrace;
-use crate::profile::{ReplayProfile, StackDistanceProfiler};
+use crate::profile::StackDistanceProfiler;
 use qosrm_types::{CoreSizeParams, LlcGeometry, MissProfile};
 use serde::{Deserialize, Serialize};
 
@@ -87,25 +94,8 @@ impl MlpAtd {
     /// leading-miss matrix (all counts scaled to the full cache).
     pub fn observe_interval(&mut self, trace: &AccessTrace) -> (MissProfile, LeadingMissMatrix) {
         let profile = self.profiler.replay(trace);
-        let misses = profile.miss_curve(self.geometry.associativity);
-        let matrix = Self::matrix_from_profile(&profile, &self.config, self.geometry.associativity);
-        (misses, matrix)
-    }
-
-    /// Computes the leading-miss matrix from an existing replay profile
-    /// (used by the simulation-database generator, which already has the
-    /// profile at hand): one pass over the profile per core size.
-    pub fn matrix_from_profile(
-        profile: &ReplayProfile,
-        config: &MlpAtdConfig,
-        max_ways: usize,
-    ) -> LeadingMissMatrix {
-        let leading = config
-            .core_sizes
-            .iter()
-            .map(|params| profile.leading_miss_curve(max_ways, params))
-            .collect();
-        LeadingMissMatrix { leading }
+        let matrix = profile.leading_miss_matrix(&self.config.core_sizes);
+        (profile.miss_curve(), matrix)
     }
 
     /// Warms the shadow directory without recording.

@@ -2,7 +2,7 @@
 //!
 //! Under LRU replacement, an access whose per-set stack distance is `d` hits
 //! in every cache with more than `d` ways and misses in every cache with at
-//! most `d` ways (the *stack property*). Profiling a trace once therefore
+//! most `d` ways (the *stack property*). Replaying a stream once therefore
 //! yields the miss count for **every** possible way allocation, which is the
 //! mechanism both the ground-truth simulator and the Auxiliary Tag Directory
 //! rely on.
@@ -10,49 +10,110 @@
 //! The per-set stacks are bounded to the associativity: no query asks for
 //! more ways than the cache has, and an access at distance
 //! `>= associativity` misses at every way count up to it, exactly as a cold
-//! miss does. The profiles answer queries for `1..=associativity` ways
-//! (checked by debug assertions).
+//! miss does. A replay therefore reduces each access to the number of way
+//! counts it misses at, `min(d, associativity)`. A [`MissHistogram`] over
+//! that number answers every miss-count query, and one compact 4-byte
+//! record per access (instruction gap, missing ways, dependent flag) is all
+//! the leading-miss kernel ([`ReplayProfile::leading_miss_matrix`]) reads:
+//! it computes every core size's leading misses at every way count in one
+//! branch-free pass per core size and block of sixteen way counts.
+//!
+//! The characterization replays each representative slice once
+//! ([`SliceReplay`]): the warm-up slice goes straight into the stacks, and
+//! each access of the main slice fills the exact profile and the ATD view's
+//! histogram together. A set-sampled ATD's stacks are exactly the exact
+//! replay's stacks for the sets it samples, so the second replay a separate
+//! [`StackDistanceProfiler::sampled`] would run is redundant; it survives as
+//! the hardware [`crate::Atd`] model and as the test oracle of the one-pass
+//! view.
 
-use crate::access::AccessTrace;
-use crate::mlp_atd::OverlapParams;
+use crate::access::{Access, AccessTrace};
+use crate::mlp_atd::{LeadingMissMatrix, OverlapParams};
 use crate::replacement::LruStack;
-use qosrm_types::{LlcGeometry, MissProfile};
-use serde::{Deserialize, Serialize};
+use qosrm_types::{LlcGeometry, MissProfile, MAX_MSHRS, MAX_ROB_ENTRIES};
 
-/// Stack distance marking an access that misses at every profiled way
-/// count: a cold miss, or a reuse deeper than the profiled associativity.
-pub const COLD_DISTANCE: u32 = u32::MAX;
-
-/// One profiled access: the instruction that issued it and its per-set LRU
-/// stack distance ([`COLD_DISTANCE`] when the line is not among the
-/// associativity most recently used lines of its set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccessRecord {
-    /// Instruction index of the access within the slice.
-    pub inst_index: u64,
-    /// LRU stack distance within the access's set, exact below the profiled
-    /// associativity.
-    pub stack_distance: u32,
+/// One replayed access, as compact as the leading-miss kernel reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MissRecord {
+    /// Instructions since the previous access of the replay (since the
+    /// start of the slice for the first one), saturated at `u16::MAX`: every
+    /// gap past the largest ROB window reads the same.
+    delta: u16,
+    /// Number of way counts the access misses at: it misses with
+    /// `1..=missing` ways and hits with more. This is its stack distance
+    /// capped at the associativity, which a cold miss reads as.
+    missing: u8,
     /// Whether the access is address-dependent on the previous long-latency
     /// load (pointer chasing); dependent misses never overlap.
-    pub dependent: bool,
+    dependent: bool,
 }
 
-impl AccessRecord {
-    /// Whether this access misses in a cache with `ways` ways per set.
+/// Miss counts of one replay at every way count, as a histogram over the
+/// number of way counts each access misses at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MissHistogram {
+    /// `counts[m]`: accesses that miss at exactly the way counts `1..=m`.
+    counts: Vec<u64>,
+}
+
+impl MissHistogram {
+    /// An empty histogram for the way counts `1..=ways`.
+    fn new(ways: usize) -> Self {
+        MissHistogram {
+            counts: vec![0; ways + 1],
+        }
+    }
+
     #[inline]
-    fn is_miss_at(&self, ways: usize) -> bool {
-        self.stack_distance == COLD_DISTANCE || self.stack_distance as usize >= ways
+    fn add(&mut self, missing: usize) {
+        self.counts[missing] += 1;
+    }
+
+    /// The largest way count the histogram answers for.
+    fn ways(&self) -> usize {
+        self.counts.len() - 1
+    }
+
+    /// Number of accesses counted.
+    pub fn accesses(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Misses with `ways` ways per set.
+    fn misses_at(&self, ways: usize) -> u64 {
+        debug_assert!(
+            ways <= self.ways(),
+            "query at {ways} ways beyond the profiled associativity {}",
+            self.ways()
+        );
+        self.counts[ways..].iter().sum()
+    }
+
+    /// Misses at every way count up to the profiled associativity
+    /// (`curve[w - 1]` for `w` ways), each multiplied by `scale`.
+    pub fn miss_curve(&self, scale: u64) -> Vec<u64> {
+        let mut misses = self.accesses();
+        self.counts[..self.ways()]
+            .iter()
+            .map(|&hits| {
+                misses -= hits;
+                misses * scale
+            })
+            .collect()
     }
 }
 
 /// Profiler that replays a reference stream against per-set LRU stacks
-/// bounded to the associativity and records every access's stack distance
-/// (exact below the associativity, [`COLD_DISTANCE`] otherwise).
+/// bounded to the associativity and reduces every access to the number of
+/// way counts it misses at.
 #[derive(Debug, Clone)]
 pub struct StackDistanceProfiler {
     num_sets: usize,
-    /// Capacity of every per-set stack: the associativity.
+    /// The associativity: the largest way count queried, and the cap on
+    /// every access's missing ways.
+    ways: usize,
+    /// Capacity of every per-set stack: the associativity, except in the
+    /// unbounded test oracle.
     depth: usize,
     /// Optional set-sampling: only sets whose index satisfies
     /// `set % sampling == offset` are profiled (used by the ATD model).
@@ -68,8 +129,8 @@ impl StackDistanceProfiler {
     }
 
     /// Creates a set-sampled profiler: only 1 out of `sampling` sets is
-    /// profiled (the sets congruent to `offset`). Sampled profiles must be
-    /// scaled by `sampling` to estimate whole-cache counts.
+    /// profiled (the sets congruent to `offset`). A sampled profile's counts
+    /// are multiplied by `sampling` to estimate whole-cache counts.
     pub fn sampled(llc: &LlcGeometry, sampling: usize, offset: usize) -> Self {
         Self::with_depth(llc, llc.associativity, sampling, offset)
     }
@@ -78,6 +139,7 @@ impl StackDistanceProfiler {
         let sampling = sampling.max(1);
         StackDistanceProfiler {
             num_sets: llc.num_sets,
+            ways: llc.associativity,
             depth,
             sampling,
             offset: offset % sampling,
@@ -98,36 +160,31 @@ impl StackDistanceProfiler {
         self.sampling == 1 || set % self.sampling == self.offset
     }
 
+    /// References `access` in the stack of its set `set` and returns the
+    /// number of way counts it misses at.
+    #[inline]
+    fn touch(&mut self, set: usize, access: &Access) -> usize {
+        match self.sets[set].touch(access.tag(self.num_sets)) {
+            Some(distance) => distance.min(self.ways),
+            None => self.ways,
+        }
+    }
+
     /// Replays a trace and produces its [`ReplayProfile`].
     ///
     /// The profiler is stateful across calls: replaying a second trace models
     /// a warmed-up cache. Use a fresh profiler (or [`Self::reset`]) for an
-    /// independent slice; the evaluation warms each representative slice with
-    /// the preceding warm-up slice, as the paper does.
+    /// independent slice.
     pub fn replay(&mut self, trace: &AccessTrace) -> ReplayProfile {
-        let mut records = Vec::with_capacity(trace.len());
+        let mut profile = ReplayProfile::new(self.ways, self.sampling as u64);
         for access in trace.accesses() {
             let set = access.set_index(self.num_sets);
-            if !self.observes(set) {
-                continue;
+            if self.observes(set) {
+                let missing = self.touch(set, access);
+                profile.push(access, missing);
             }
-            let distance = match self.sets[set].touch(access.tag(self.num_sets)) {
-                Some(d) => u32::try_from(d).unwrap_or(COLD_DISTANCE),
-                None => COLD_DISTANCE,
-            };
-            records.push(AccessRecord {
-                inst_index: access.inst_index,
-                stack_distance: distance,
-                dependent: access.dependent,
-            });
         }
-        ReplayProfile {
-            records,
-            instructions: trace.instructions(),
-            total_accesses: trace.len() as u64,
-            scale: self.sampling as u64,
-            max_ways: self.depth,
-        }
+        profile
     }
 
     /// Replays a trace purely to warm the profiler state, without recording.
@@ -135,7 +192,7 @@ impl StackDistanceProfiler {
         for access in trace.accesses() {
             let set = access.set_index(self.num_sets);
             if self.observes(set) {
-                self.sets[set].touch(access.tag(self.num_sets));
+                self.touch(set, access);
             }
         }
     }
@@ -148,105 +205,67 @@ impl StackDistanceProfiler {
     }
 }
 
-/// The result of replaying one slice: per-access stack distances plus slice
-/// metadata, from which miss curves and leading-miss matrices are derived.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The result of replaying one slice: its miss histogram and one compact
+/// record per profiled access, from which miss curves and leading-miss
+/// matrices are derived.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayProfile {
-    records: Vec<AccessRecord>,
-    instructions: u64,
-    total_accesses: u64,
-    /// Set-sampling factor: derived counts must be multiplied by this factor
-    /// to estimate whole-cache counts (1 for a full profile).
+    histogram: MissHistogram,
+    records: Vec<MissRecord>,
+    /// Instruction index of the last recorded access.
+    last_inst: u64,
+    /// Set-sampling factor: derived counts are multiplied by this factor to
+    /// estimate whole-cache counts (1 for a full profile).
     scale: u64,
-    /// Largest way count the stack distances are exact for (the profiled
-    /// associativity): every query must ask for at most this many ways.
-    max_ways: usize,
 }
 
 impl ReplayProfile {
-    /// Builds a profile directly from records (used by tests and generators).
-    /// The records' distances are taken as exact at any depth.
-    pub fn from_records(records: Vec<AccessRecord>, instructions: u64, scale: u64) -> Self {
-        let total_accesses = records.len() as u64 * scale;
+    /// An empty profile for the way counts `1..=ways`.
+    fn new(ways: usize, scale: u64) -> Self {
+        assert!(
+            ways <= usize::from(u8::MAX),
+            "{ways} ways do not fit a miss record"
+        );
         ReplayProfile {
-            records,
-            instructions,
-            total_accesses,
-            scale: scale.max(1),
-            max_ways: usize::MAX,
+            histogram: MissHistogram::new(ways),
+            records: Vec::new(),
+            last_inst: 0,
+            scale,
         }
     }
 
-    /// Checks a way-count query against the profiled associativity.
+    /// Records one access that misses at `missing` way counts.
     #[inline]
-    fn debug_assert_in_domain(&self, ways: usize) {
-        debug_assert!(
-            ways <= self.max_ways,
-            "query at {ways} ways beyond the profiled associativity {}",
-            self.max_ways
-        );
+    fn push(&mut self, access: &Access, missing: usize) {
+        self.histogram.add(missing);
+        let delta = access.inst_index.saturating_sub(self.last_inst);
+        self.last_inst = access.inst_index;
+        self.records.push(MissRecord {
+            delta: delta.min(u64::from(u16::MAX)) as u16,
+            missing: missing as u8,
+            dependent: access.dependent,
+        });
     }
 
-    /// The profiled access records, in program order.
-    pub fn records(&self) -> &[AccessRecord] {
-        &self.records
-    }
-
-    /// Instructions covered by the slice.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    /// Total LLC accesses of the slice (whole cache, not only sampled sets).
-    pub fn total_accesses(&self) -> u64 {
-        self.total_accesses
-    }
-
-    /// The set-sampling scale factor of this profile.
-    pub fn scale(&self) -> u64 {
-        self.scale
-    }
-
-    /// Number of profiled (observed) accesses.
-    pub fn observed_accesses(&self) -> u64 {
-        self.records.len() as u64
+    /// The miss histogram of the profiled accesses (not scaled).
+    pub fn histogram(&self) -> &MissHistogram {
+        &self.histogram
     }
 
     /// Misses for a cache with `ways` ways per set (scaled to the whole
     /// cache when the profile is set-sampled).
     pub fn misses_at(&self, ways: usize) -> u64 {
-        self.debug_assert_in_domain(ways);
-        let raw = self.records.iter().filter(|r| r.is_miss_at(ways)).count() as u64;
-        raw * self.scale
+        self.histogram.misses_at(ways) * self.scale
     }
 
-    /// The full miss curve for way allocations `1..=max_ways`, computed in a
-    /// single pass over the records.
-    pub fn miss_curve(&self, max_ways: usize) -> MissProfile {
-        self.debug_assert_in_domain(max_ways);
-        // hist[d] = number of accesses with stack distance exactly d (d < max_ways).
-        let mut hist = vec![0u64; max_ways];
-        let mut beyond = 0u64; // distance >= max_ways or cold
-        for r in &self.records {
-            if r.stack_distance == COLD_DISTANCE || r.stack_distance as usize >= max_ways {
-                beyond += 1;
-            } else {
-                hist[r.stack_distance as usize] += 1;
-            }
-        }
-        let mut curve = Vec::with_capacity(max_ways);
-        // misses(w) = beyond + sum_{d >= w, d < max_ways} hist[d]
-        let mut tail: u64 = hist.iter().sum();
-        for w in 1..=max_ways {
-            tail -= hist[w - 1];
-            curve.push((beyond + tail) * self.scale);
-        }
-        MissProfile::new(curve)
+    /// The miss curve at every way count up to the associativity.
+    pub fn miss_curve(&self) -> MissProfile {
+        MissProfile::new(self.histogram.miss_curve(self.scale))
     }
 
-    /// Number of *leading* (non-overlapped) misses for every way allocation
-    /// `1..=max_ways` under the overlap model `params` (`curve[w - 1]` for
-    /// `w` ways, scaled to the whole cache), in one pass over the records.
+    /// Leading (non-overlapped) misses of every core size in `sizes` at
+    /// every way count up to the associativity (`leading[s][w - 1]`, scaled
+    /// to the whole cache).
     ///
     /// A miss overlaps with the current leading miss if it is issued within
     /// the re-order-buffer window of that leading miss and fewer than `mshrs`
@@ -257,87 +276,141 @@ impl ReplayProfile {
     /// performance model).
     ///
     /// Every way count runs its own group state machine over the misses it
-    /// sees. An access at stack distance `d` misses exactly with
-    /// `1..=min(d, max_ways)` ways, so it updates only those lanes.
-    pub fn leading_miss_curve(&self, max_ways: usize, params: &OverlapParams) -> Vec<u64> {
-        self.debug_assert_in_domain(max_ways);
-        /// One way count's overlap group; `size == 0` until its first miss.
-        #[derive(Clone, Copy)]
-        struct Lane {
-            start: u64,
-            size: usize,
-            leading: u64,
-        }
-        let window = params.rob_entries as u64;
-        let mshrs = params.mshrs.max(1);
-        let mut lanes = vec![
-            Lane {
-                start: 0,
-                size: 0,
-                leading: 0,
-            };
-            max_ways
-        ];
-        for r in &self.records {
-            let missing = (r.stack_distance as usize).min(max_ways);
-            for lane in &mut lanes[..missing] {
-                let starts_new_group = r.dependent
-                    || lane.size == 0
-                    || r.inst_index.saturating_sub(lane.start) > window
-                    || lane.size >= mshrs;
-                if starts_new_group {
-                    lane.leading += 1;
-                    lane.start = r.inst_index;
-                    lane.size = 1;
-                } else {
-                    lane.size += 1;
+    /// sees, and one branch-free kernel runs sixteen of them per pass over
+    /// the records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a core size exceeds [`MAX_ROB_ENTRIES`] or [`MAX_MSHRS`],
+    /// which every validated platform respects.
+    pub fn leading_miss_matrix(&self, sizes: &[OverlapParams]) -> LeadingMissMatrix {
+        let ways = self.histogram.ways();
+        let leading = sizes
+            .iter()
+            .map(|params| {
+                let mut curve = Vec::with_capacity(ways);
+                for first in (0..ways).step_by(LANES) {
+                    let block = leading_lane_block(&self.records, first, params);
+                    curve.extend(block.iter().take(ways - first).map(|&n| n * self.scale));
                 }
+                curve
+            })
+            .collect();
+        LeadingMissMatrix { leading }
+    }
+}
+
+/// Way counts the leading-miss kernel advances together: sixteen `i16`
+/// lanes, two SSE2 registers per state vector on the baseline x86-64
+/// target.
+const LANES: usize = 16;
+
+/// Leading misses at the way counts `first + 1..=first + LANES` under
+/// `params`, in one branch-free pass over `records`.
+///
+/// Lane `l` stands for `first + l + 1` ways and misses on a record with
+/// `missing > first + l`. It keeps its overlap group's size and age (the
+/// instructions since the group's leading miss) in `i16` lanes. An age
+/// saturates at `i16::MAX`, past every ROB window up to
+/// [`MAX_ROB_ENTRIES`], so the window test stays exact, and a group never
+/// outgrows [`MAX_MSHRS`]. A lane starts aged past any window, so its first
+/// miss leads.
+fn leading_lane_block(
+    records: &[MissRecord],
+    first: usize,
+    params: &OverlapParams,
+) -> [u64; LANES] {
+    assert!(
+        params.rob_entries <= MAX_ROB_ENTRIES && params.mshrs <= MAX_MSHRS,
+        "{params:?} exceeds the leading-miss kernel's lane widths"
+    );
+    let window = params.rob_entries as i16;
+    let mshrs = params.mshrs.max(1) as i16;
+    let lane: [i16; LANES] = std::array::from_fn(|l| (first + l) as i16);
+    let mut age = [i16::MAX; LANES];
+    let mut size = [0i16; LANES];
+    let mut totals = [0u64; LANES];
+    // A lane counts at most one leading miss per record, so `i16` counters
+    // flushed every `i16::MAX` records cannot overflow.
+    for chunk in records.chunks(i16::MAX as usize) {
+        let mut leading = [0i16; LANES];
+        for r in chunk {
+            let delta = r.delta.min(i16::MAX as u16) as i16;
+            let missing = i16::from(r.missing);
+            for l in 0..LANES {
+                let aged = age[l].saturating_add(delta);
+                let miss = lane[l] < missing;
+                let leads = miss & (r.dependent | (aged > window) | (size[l] >= mshrs));
+                leading[l] += i16::from(leads);
+                age[l] = if leads { 0 } else { aged };
+                size[l] = if leads { 1 } else { size[l] + i16::from(miss) };
             }
         }
-        lanes.iter().map(|lane| lane.leading * self.scale).collect()
+        for (total, n) in totals.iter_mut().zip(leading) {
+            *total += n as u64;
+        }
+    }
+    totals
+}
+
+/// The characterization's one replay of a representative slice, read two
+/// ways: the exact [`ReplayProfile`] of every set, and the ATD view's
+/// [`MissHistogram`] of the sets `set % atd_sampling == atd_offset`. The
+/// warm-up slice only warms the stacks ([`Self::warm`]); each access of the
+/// main slice goes through its set's stack once ([`Self::record`]) and
+/// fills both views.
+#[derive(Debug, Clone)]
+pub struct SliceReplay {
+    profiler: StackDistanceProfiler,
+    atd_sampling: usize,
+    atd_offset: usize,
+    exact: ReplayProfile,
+    atd: MissHistogram,
+}
+
+impl SliceReplay {
+    /// A cold replay of the given geometry whose ATD view samples the sets
+    /// congruent to `atd_offset` modulo `atd_sampling`.
+    pub fn new(llc: &LlcGeometry, atd_sampling: usize, atd_offset: usize) -> Self {
+        let profiler = StackDistanceProfiler::new(llc);
+        let atd_sampling = atd_sampling.max(1);
+        SliceReplay {
+            exact: ReplayProfile::new(profiler.ways, 1),
+            atd: MissHistogram::new(profiler.ways),
+            profiler,
+            atd_sampling,
+            atd_offset: atd_offset % atd_sampling,
+        }
     }
 
-    /// Leading misses at one way count, one pass per query: the per-way
-    /// reference [`Self::leading_miss_curve`] is tested against.
-    #[cfg(test)]
-    pub(crate) fn leading_misses_at(&self, ways: usize, params: &OverlapParams) -> u64 {
-        let window = params.rob_entries as u64;
-        let mshrs = params.mshrs.max(1);
-        let mut leading = 0u64;
-        let mut group_start: Option<u64> = None;
-        let mut group_size = 0usize;
-        for r in &self.records {
-            if !r.is_miss_at(ways) {
-                continue;
-            }
-            let starts_new_group = r.dependent
-                || match group_start {
-                    Some(start) => {
-                        r.inst_index.saturating_sub(start) > window || group_size >= mshrs
-                    }
-                    None => true,
-                };
-            if starts_new_group {
-                leading += 1;
-                group_start = Some(r.inst_index);
-                group_size = 1;
-            } else {
-                group_size += 1;
-            }
-        }
-        leading * self.scale
+    /// Warms the stacks with one access of the warm-up slice, recording
+    /// nothing.
+    #[inline]
+    pub fn warm(&mut self, access: &Access) {
+        let set = access.set_index(self.profiler.num_sets);
+        self.profiler.touch(set, access);
     }
 
-    /// Average memory-level parallelism at `ways` ways under `params`.
-    #[cfg(test)]
-    fn mlp_at(&self, ways: usize, params: &OverlapParams) -> f64 {
-        let total = self.misses_at(ways);
-        let leading = self.leading_misses_at(ways, params);
-        if total == 0 || leading == 0 {
-            1.0
-        } else {
-            total as f64 / leading as f64
+    /// Replays one access of the representative slice into both views.
+    #[inline]
+    pub fn record(&mut self, access: &Access) {
+        let set = access.set_index(self.profiler.num_sets);
+        let missing = self.profiler.touch(set, access);
+        self.exact.push(access, missing);
+        if set % self.atd_sampling == self.atd_offset {
+            self.atd.add(missing);
         }
+    }
+
+    /// The exact profile of every set.
+    pub fn exact(&self) -> &ReplayProfile {
+        &self.exact
+    }
+
+    /// The ATD view's histogram; its counts times the sampling factor
+    /// estimate the whole cache's.
+    pub fn atd(&self) -> &MissHistogram {
+        &self.atd
     }
 }
 
@@ -367,6 +440,69 @@ mod tests {
         AccessTrace::new(accesses, inst.max(1))
     }
 
+    /// Leading misses of one core size at `ways` ways, from the kernel.
+    fn leading_at(profile: &ReplayProfile, ways: usize, params: OverlapParams) -> u64 {
+        profile.leading_miss_matrix(&[params]).leading[0][ways - 1]
+    }
+
+    /// Average memory-level parallelism at `ways` ways under `params`.
+    fn mlp_at(profile: &ReplayProfile, ways: usize, params: OverlapParams) -> f64 {
+        let total = profile.misses_at(ways);
+        let leading = leading_at(profile, ways, params);
+        if total == 0 || leading == 0 {
+            1.0
+        } else {
+            total as f64 / leading as f64
+        }
+    }
+
+    /// Leading misses at one way count, one pass per query over raw
+    /// `(instruction, missing ways, dependent)` accesses: the per-way
+    /// reference the kernel is tested against.
+    fn leading_misses_at(
+        accesses: &[(u64, usize, bool)],
+        ways: usize,
+        params: &OverlapParams,
+    ) -> u64 {
+        let window = params.rob_entries as u64;
+        let mshrs = params.mshrs.max(1);
+        let mut leading = 0u64;
+        let mut group_start: Option<u64> = None;
+        let mut group_size = 0usize;
+        for &(inst, missing, dependent) in accesses {
+            if missing < ways {
+                continue;
+            }
+            let starts_new_group = dependent
+                || match group_start {
+                    Some(start) => inst.saturating_sub(start) > window || group_size >= mshrs,
+                    None => true,
+                };
+            if starts_new_group {
+                leading += 1;
+                group_start = Some(inst);
+                group_size = 1;
+            } else {
+                group_size += 1;
+            }
+        }
+        leading
+    }
+
+    /// A profile of raw `(instruction, missing ways, dependent)` accesses.
+    fn profile_of(accesses: &[(u64, usize, bool)], ways: usize, scale: u64) -> ReplayProfile {
+        let mut profile = ReplayProfile::new(ways, scale);
+        for &(inst, missing, dependent) in accesses {
+            let access = if dependent {
+                Access::dependent(0, inst)
+            } else {
+                Access::new(0, inst)
+            };
+            profile.push(&access, missing);
+        }
+        profile
+    }
+
     #[test]
     fn loop_miss_curve_matches_theory() {
         // A cyclic loop over 4 lines in one set: with >= 4 ways everything
@@ -375,7 +511,7 @@ mod tests {
         let trace = same_set_loop(4, 10);
         let mut profiler = StackDistanceProfiler::new(&geometry());
         let profile = profiler.replay(&trace);
-        let curve = profile.miss_curve(8);
+        let curve = profile.miss_curve();
         assert_eq!(curve.misses_at(4), 4); // only the cold misses
         assert_eq!(curve.misses_at(8), 4);
         assert_eq!(curve.misses_at(3), 40); // full thrash
@@ -388,7 +524,7 @@ mod tests {
         let trace = same_set_loop(6, 5);
         let mut profiler = StackDistanceProfiler::new(&geometry());
         let profile = profiler.replay(&trace);
-        let curve = profile.miss_curve(8);
+        let curve = profile.miss_curve();
         for w in 1..=8usize {
             assert_eq!(curve.misses_at(w), profile.misses_at(w), "w={w}");
             if w > 1 {
@@ -455,21 +591,21 @@ mod tests {
             rob_entries: 128,
             mshrs: 8,
         };
-        assert_eq!(profile.leading_misses_at(8, &big), 4); // {0,10,20} overlap
-        assert!((profile.mlp_at(8, &big) - 1.5).abs() < 1e-12);
+        assert_eq!(leading_at(&profile, 8, big), 4); // {0,10,20} overlap
+        assert!((mlp_at(&profile, 8, big) - 1.5).abs() < 1e-12);
 
         let tiny_window = OverlapParams {
             rob_entries: 4,
             mshrs: 8,
         };
-        assert_eq!(profile.leading_misses_at(8, &tiny_window), 6);
-        assert!((profile.mlp_at(8, &tiny_window) - 1.0).abs() < 1e-12);
+        assert_eq!(leading_at(&profile, 8, tiny_window), 6);
+        assert!((mlp_at(&profile, 8, tiny_window) - 1.0).abs() < 1e-12);
 
         let one_mshr = OverlapParams {
             rob_entries: 128,
             mshrs: 1,
         };
-        assert_eq!(profile.leading_misses_at(8, &one_mshr), 6);
+        assert_eq!(leading_at(&profile, 8, one_mshr), 6);
     }
 
     #[test]
@@ -495,7 +631,7 @@ mod tests {
             rob_entries: 256,
             mshrs: 16,
         };
-        assert!(profile.mlp_at(8, &large) > profile.mlp_at(8, &small));
+        assert!(mlp_at(&profile, 8, large) > mlp_at(&profile, 8, small));
     }
 
     #[test]
@@ -512,21 +648,73 @@ mod tests {
             rob_entries: 512,
             mshrs: 32,
         };
-        assert_eq!(profile.leading_misses_at(8, &params), profile.misses_at(8));
-        assert!((profile.mlp_at(8, &params) - 1.0).abs() < 1e-12);
+        assert_eq!(leading_at(&profile, 8, params), profile.misses_at(8));
+        assert!((mlp_at(&profile, 8, params) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_profile_defaults() {
-        let profile = ReplayProfile::from_records(vec![], 1000, 1);
+        let profile = ReplayProfile::new(4, 1);
         assert_eq!(profile.misses_at(4), 0);
         let params = OverlapParams {
             rob_entries: 128,
             mshrs: 8,
         };
-        assert!((profile.mlp_at(4, &params) - 1.0).abs() < 1e-12);
-        assert_eq!(profile.miss_curve(4).misses_at(1), 0);
-        assert_eq!(profile.leading_miss_curve(4, &params), vec![0; 4]);
+        assert!((mlp_at(&profile, 4, params) - 1.0).abs() < 1e-12);
+        assert_eq!(profile.miss_curve().misses_at(1), 0);
+        let matrix = profile.leading_miss_matrix(&[params, params]);
+        assert_eq!(matrix.leading, vec![vec![0; 4]; 2]);
+    }
+
+    /// The kernel's narrow lanes hold at the validated bounds: ages at the
+    /// widest window, groups at the most MSHRs, and more records than an
+    /// `i16` counter holds.
+    #[test]
+    fn kernel_is_exact_at_the_lane_bounds() {
+        let window = OverlapParams {
+            rob_entries: MAX_ROB_ENTRIES,
+            mshrs: MAX_MSHRS,
+        };
+        // Gaps of exactly the window overlap; one more instruction leads.
+        let mut inst = 0;
+        let mut accesses = Vec::new();
+        for gap in [
+            0,
+            MAX_ROB_ENTRIES as u64,
+            1,
+            MAX_ROB_ENTRIES as u64,
+            70_000,
+            3,
+        ] {
+            inst += gap;
+            accesses.push((inst, 8, false));
+        }
+        // 70,000 misses at one instruction: groups of `MAX_MSHRS`.
+        accesses.extend(std::iter::repeat_n((inst + 100_000, 8, false), 70_000));
+        // 70,000 dependent misses: every one leads.
+        accesses.extend(std::iter::repeat_n((inst + 200_000, 8, true), 70_000));
+        let profile = profile_of(&accesses, 8, 1);
+        let expected: Vec<u64> = (1..=8)
+            .map(|w| leading_misses_at(&accesses, w, &window))
+            .collect();
+        assert_eq!(
+            expected[7],
+            3 + 70_000_u64.div_ceil(MAX_MSHRS as u64) + 70_000
+        );
+        assert_eq!(
+            profile.leading_miss_matrix(&[window]).leading,
+            vec![expected]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lane widths")]
+    fn kernel_rejects_windows_past_its_lanes() {
+        let params = OverlapParams {
+            rob_entries: MAX_ROB_ENTRIES + 1,
+            mshrs: 8,
+        };
+        ReplayProfile::new(4, 1).leading_miss_matrix(&[params]);
     }
 
     use proptest::prelude::*;
@@ -548,55 +736,40 @@ mod tests {
         AccessTrace::new(accesses, inst + 1)
     }
 
-    /// The bounded profile agrees with the unbounded oracle's on every
-    /// query of the `1..=associativity` domain.
-    fn assert_bounded_matches_oracle(
-        bounded: &ReplayProfile,
-        oracle: &ReplayProfile,
-        assoc: usize,
-        params: &OverlapParams,
-    ) -> Result<(), String> {
-        prop_assert_eq!(bounded.records.len(), oracle.records.len());
-        for (b, o) in bounded.records.iter().zip(&oracle.records) {
-            let expected = if o.stack_distance as usize >= assoc {
-                COLD_DISTANCE
-            } else {
-                o.stack_distance
-            };
-            prop_assert_eq!(b.stack_distance, expected);
-            prop_assert_eq!((b.inst_index, b.dependent), (o.inst_index, o.dependent));
-        }
-        for w in 1..=assoc {
-            prop_assert_eq!(bounded.misses_at(w), oracle.misses_at(w));
-        }
-        prop_assert_eq!(bounded.miss_curve(assoc), oracle.miss_curve(assoc));
-        let per_way: Vec<u64> = (1..=assoc)
-            .map(|w| oracle.leading_misses_at(w, params))
-            .collect();
-        prop_assert_eq!(bounded.leading_miss_curve(assoc, params), per_way);
-        Ok(())
+    /// A value of `a` or of `b`, each half the time.
+    fn either<T>(
+        a: impl Strategy<Value = T>,
+        b: impl Strategy<Value = T>,
+    ) -> impl Strategy<Value = T> {
+        (0u8..2, a, b).prop_map(|(pick, a, b)| if pick == 0 { a } else { b })
+    }
+
+    /// Overlap parameters reaching the kernel's lane bounds.
+    fn overlap_params() -> impl Strategy<Value = OverlapParams> {
+        let rob_entries = either(1usize..400, (MAX_ROB_ENTRIES - 300)..=MAX_ROB_ENTRIES);
+        let mshrs = either(0usize..12, (MAX_MSHRS - 4)..=MAX_MSHRS);
+        (rob_entries, mshrs).prop_map(|(rob_entries, mshrs)| OverlapParams { rob_entries, mshrs })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Stacks bounded to the associativity answer every query exactly
-        /// like unbounded stacks: after warm-up, across replays that carry
-        /// state, and after `reset()`, for full and set-sampled profilers.
+        /// Stacks bounded to the associativity replay every access exactly
+        /// like unbounded stacks capped at the associativity: after warm-up,
+        /// across replays that carry state, and after `reset()`, for full
+        /// and set-sampled profilers.
         #[test]
         fn bounded_replay_matches_unbounded_oracle(
             (sets_log, assoc) in (0u32..5, 1usize..17),
             (sampling, offset) in (1usize..4, 0usize..4),
             warm in prop::collection::vec((0u64..256, 1u64..40, 0u8..5), 0..300),
             main in prop::collection::vec((0u64..256, 1u64..40, 0u8..5), 1..400),
-            (rob_entries, mshrs) in (1usize..300, 1usize..12),
         ) {
             let llc = LlcGeometry {
                 num_sets: 1 << sets_log,
                 associativity: assoc,
                 line_bytes: 64,
             };
-            let params = OverlapParams { rob_entries, mshrs };
             let (warm, main) = (trace_of(warm), trace_of(main));
             let mut bounded = StackDistanceProfiler::sampled(&llc, sampling, offset);
             let mut oracle = StackDistanceProfiler::unbounded_oracle(&llc, sampling, offset);
@@ -607,38 +780,72 @@ mod tests {
                     bounded.reset();
                     oracle.reset();
                 }
-                let (b, o) = (bounded.replay(&main), oracle.replay(&main));
-                assert_bounded_matches_oracle(&b, &o, assoc, &params)?;
+                prop_assert_eq!(bounded.replay(&main), oracle.replay(&main));
             }
         }
 
-        /// The single-pass leading-miss curve equals one per-way pass at
-        /// every way count, on arbitrary distances, scales and overlap
-        /// parameters.
+        /// One pass fills the exact profile a full profiler's replay yields
+        /// and the ATD histogram a separate sampled replay yields, for every
+        /// sampling factor and offset.
+        #[test]
+        fn one_pass_views_match_separate_replays(
+            (sets_log, assoc) in (0u32..6, 1usize..17),
+            sampling in 1usize..9,
+            warm in prop::collection::vec((0u64..512, 1u64..40, 0u8..5), 0..300),
+            main in prop::collection::vec((0u64..512, 1u64..40, 0u8..5), 1..400),
+        ) {
+            let llc = LlcGeometry {
+                num_sets: 1 << sets_log,
+                associativity: assoc,
+                line_bytes: 64,
+            };
+            let (warm, main) = (trace_of(warm), trace_of(main));
+            let mut full = StackDistanceProfiler::new(&llc);
+            full.warm_up(&warm);
+            let exact = full.replay(&main);
+            for offset in 0..sampling {
+                let mut replay = SliceReplay::new(&llc, sampling, offset);
+                warm.accesses().iter().for_each(|a| replay.warm(a));
+                main.accesses().iter().for_each(|a| replay.record(a));
+                let mut sampled = StackDistanceProfiler::sampled(&llc, sampling, offset);
+                sampled.warm_up(&warm);
+                let atd = sampled.replay(&main);
+                prop_assert_eq!(replay.exact(), &exact);
+                prop_assert_eq!(replay.atd(), atd.histogram());
+            }
+        }
+
+        /// The all-core-sizes kernel equals one per-way pass at every way
+        /// count, for several overlap parameters per case, on arbitrary
+        /// missing ways, gaps (zero, and past the record's and the lanes'
+        /// saturation), scales and associativities.
         #[test]
         fn leading_miss_curve_matches_per_way_passes(
-            raw in prop::collection::vec((0u32..24, 1u64..200, 0u8..4), 0..400),
-            (max_ways, scale) in (1usize..21, 1u64..5),
-            (rob_entries, mshrs) in (1usize..400, 0usize..12),
+            raw in prop::collection::vec(
+                (0usize..21, either(0u64..200, 30_000u64..70_000), 0u8..4),
+                0..400,
+            ),
+            (ways, scale) in (1usize..=20, 1u64..5),
+            sizes in prop::collection::vec(overlap_params(), 1..4),
         ) {
             let mut inst = 0u64;
-            let records: Vec<AccessRecord> = raw
+            let accesses: Vec<(u64, usize, bool)> = raw
                 .into_iter()
-                .map(|(distance, gap, kind)| {
+                .map(|(missing, gap, kind)| {
                     inst += gap;
-                    AccessRecord {
-                        inst_index: inst,
-                        stack_distance: if distance >= 22 { COLD_DISTANCE } else { distance },
-                        dependent: kind == 0,
-                    }
+                    (inst, missing.min(ways), kind == 0)
                 })
                 .collect();
-            let profile = ReplayProfile::from_records(records, inst + 1, scale);
-            let params = OverlapParams { rob_entries, mshrs };
-            let per_way: Vec<u64> = (1..=max_ways)
-                .map(|w| profile.leading_misses_at(w, &params))
+            let profile = profile_of(&accesses, ways, scale);
+            let per_way: Vec<Vec<u64>> = sizes
+                .iter()
+                .map(|params| {
+                    (1..=ways)
+                        .map(|w| leading_misses_at(&accesses, w, params) * scale)
+                        .collect()
+                })
                 .collect();
-            prop_assert_eq!(profile.leading_miss_curve(max_ways, &params), per_way);
+            prop_assert_eq!(profile.leading_miss_matrix(&sizes).leading, per_way);
         }
     }
 }

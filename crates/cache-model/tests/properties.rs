@@ -41,7 +41,7 @@ proptest! {
         let geom = small_geometry();
         let mut profiler = StackDistanceProfiler::new(&geom);
         let profile = profiler.replay(&trace);
-        let curve = profile.miss_curve(geom.associativity);
+        let curve = profile.miss_curve();
         prop_assert!(curve.validate().is_ok());
         prop_assert!(curve.misses_at(1) <= trace.len() as u64);
     }
@@ -81,8 +81,8 @@ proptest! {
             mshrs: mshr_small + mshr_extra,
         };
         let total = profile.misses_at(ways);
-        let lead_small = profile.leading_miss_curve(geom.associativity, &small)[ways - 1];
-        let lead_large = profile.leading_miss_curve(geom.associativity, &large)[ways - 1];
+        let matrix = profile.leading_miss_matrix(&[small, large]).leading;
+        let (lead_small, lead_large) = (matrix[0][ways - 1], matrix[1][ways - 1]);
         prop_assert!(lead_small <= total);
         prop_assert!(lead_large <= total);
         prop_assert!(lead_large <= lead_small, "bigger cores can only merge more misses");

@@ -96,8 +96,6 @@ pub struct PruneStats {
 pub struct WarmStats {
     /// Arena rows (leaf or inner) reused verbatim from the previous call.
     pub rows_reused: u64,
-    /// Arena rows re-densified or recombined this call.
-    pub rows_recomputed: u64,
 }
 
 /// Index of a node in the reduction arena.
@@ -856,7 +854,6 @@ impl IncrementalOptimizer {
                 if dirty[i] {
                     arena.redensify_leaf(i, curve);
                     node_dirty[i] = true;
-                    warm.rows_recomputed += 1;
                 } else {
                     warm.rows_reused += 1;
                 }
@@ -872,7 +869,6 @@ impl IncrementalOptimizer {
                     let bound = if id == root { incumbent } else { f64::INFINITY };
                     arena.recombine(id, self.kernel, bound, &mut self.scratch, &mut stats);
                     node_dirty[id] = true;
-                    warm.rows_recomputed += 1;
                 } else {
                     warm.rows_reused += 1;
                 }
@@ -886,7 +882,6 @@ impl IncrementalOptimizer {
                 &mut self.scratch,
                 &mut stats,
             );
-            warm.rows_recomputed = reduction.0.nodes.len() as u64;
             self.state = Some(reduction);
             (self.total_ways, self.budget) = (total_ways, budget);
         }
@@ -1199,7 +1194,7 @@ mod tests {
         let no_dirty = vec![false; curves.len()];
         let (warm, stats, warm_stats) = warm_opt.optimize(&curves, &no_dirty, 16, Budget::Exact);
         assert_eq!(warm, optimize_partition(&curves, 16));
-        assert_eq!(warm_stats.rows_recomputed, 0);
+        assert_eq!(warm_stats.rows_reused, 2 * curves.len() as u64 - 1);
         assert_eq!(stats.ops, 0, "nothing dirty, nothing scanned");
     }
 

@@ -311,6 +311,31 @@ mod tests {
         assert_eq!(sixteen.len(), 16);
     }
 
+    /// A custom LLC with fewer sets than the scaled replay (16 against
+    /// quick mode's 32) is simulated whole; it used to reach the
+    /// characterizer with a zero scale and panic the shard. The interval is
+    /// shortened only to keep the unscaled replay cheap.
+    #[test]
+    fn custom_platform_with_a_tiny_llc_sweeps() {
+        let mut platform = PlatformConfig::paper1(4);
+        platform.llc.num_sets = 16;
+        platform.interval_instructions = 2_000_000;
+        let spec = ScenarioSpec {
+            name: "tiny-llc".to_string(),
+            platforms: vec![PlatformAxisSpec {
+                label: "tiny-llc".to_string(),
+                platform: PlatformSpec::Custom(platform),
+                workloads: WorkloadSource::Paper1(MixSelection::limit(1)),
+            }],
+            qos: vec![QosAxis::uniform("strict", QosSpec::STRICT)],
+            variants: vec![RmaVariant::Paper1],
+            options: None,
+        };
+        let grid = spec.lower().unwrap();
+        let result = crate::sweep::run(&grid, &crate::ExperimentContext::new(true));
+        assert_eq!(result.scenarios.len(), 1);
+    }
+
     #[test]
     fn lowering_rejects_mismatched_sources() {
         // Synthetic width must match the platform.

@@ -17,6 +17,16 @@ use serde::{Deserialize, Serialize};
 /// the resource manager (100 M in the paper).
 pub const DEFAULT_INTERVAL_INSTRUCTIONS: u64 = 100_000_000;
 
+/// Largest `rob_entries` of a valid core size. The leading-miss kernel
+/// keeps each overlap group's age (instructions since its leading miss) in
+/// an `i16` lane that saturates at `i16::MAX`, which must lie past the ROB
+/// window for the window test to stay exact.
+pub const MAX_ROB_ENTRIES: usize = i16::MAX as usize - 1;
+
+/// Largest `mshrs` of a valid core size: the leading-miss kernel keeps each
+/// overlap group's size in an `i16` lane.
+pub const MAX_MSHRS: usize = i16::MAX as usize;
+
 /// Micro-architectural parameters of one core-size configuration.
 ///
 /// Paper II considers a re-configurable core in which sections of the
@@ -229,6 +239,13 @@ impl PlatformConfig {
                     "core size {i} has zero-sized resources"
                 )));
             }
+            if cs.rob_entries > MAX_ROB_ENTRIES || cs.mshrs > MAX_MSHRS {
+                return Err(QosrmError::InvalidPlatform(format!(
+                    "core size {i} has {} ROB entries and {} MSHRs; the leading-miss model \
+                     supports at most {MAX_ROB_ENTRIES} and {MAX_MSHRS}",
+                    cs.rob_entries, cs.mshrs
+                )));
+            }
             if cs.dynamic_epi_scale <= 0.0 || cs.static_power_scale <= 0.0 {
                 return Err(QosrmError::InvalidPlatform(format!(
                     "core size {i} has non-positive energy scales"
@@ -306,6 +323,21 @@ mod tests {
         let mut p = PlatformConfig::paper1(4);
         p.interval_instructions = 0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_the_overlap_resources() {
+        let with = |rob_entries, mshrs| {
+            let mut p = PlatformConfig::paper1(4);
+            p.core_sizes[0].rob_entries = rob_entries;
+            p.core_sizes[0].mshrs = mshrs;
+            p.validate()
+        };
+        assert!(with(MAX_ROB_ENTRIES, MAX_MSHRS).is_ok());
+        for (rob_entries, mshrs) in [(MAX_ROB_ENTRIES + 1, 6), (128, MAX_MSHRS + 1)] {
+            let error = with(rob_entries, mshrs).unwrap_err();
+            assert!(matches!(error, QosrmError::InvalidPlatform(_)), "{error}");
+        }
     }
 
     #[test]

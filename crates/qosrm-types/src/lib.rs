@@ -35,7 +35,10 @@ pub mod setting;
 pub mod stats;
 
 pub use cache::{LlcGeometry, WayMask, WayPartition};
-pub use config::{CoreSizeParams, MemoryParams, PlatformConfig, DEFAULT_INTERVAL_INSTRUCTIONS};
+pub use config::{
+    CoreSizeParams, MemoryParams, PlatformConfig, DEFAULT_INTERVAL_INSTRUCTIONS, MAX_MSHRS,
+    MAX_ROB_ENTRIES,
+};
 pub use error::QosrmError;
 pub use freq::{FreqLevel, VfPoint, VfTable};
 pub use ids::{AppId, CoreId, CoreSizeIdx, PhaseId};

@@ -41,7 +41,9 @@ impl BuildOptions {
         }
     }
 
-    /// Coarse, fast options for unit tests.
+    /// Coarse, fast options: the production `--quick` configuration (see
+    /// [`CharacterizationConfig::quick_for_tests`]), which most tests use
+    /// too.
     pub fn quick_for_tests(platform: &PlatformConfig) -> Self {
         BuildOptions {
             characterization: CharacterizationConfig::quick_for_tests(platform),

@@ -9,10 +9,19 @@
 //! *scaled* configuration: `1/scale` of the LLC sets and `1/scale` of the
 //! interval instructions, with all counts multiplied back by `scale` — the
 //! same dynamic set-sampling argument the ATD hardware itself relies on.
+//!
+//! Each phase is characterized in one pass and no trace is stored: the
+//! stream generator hands the warm-up slice straight to the per-set LRU
+//! stacks and each access of the representative slice to one
+//! [`SliceReplay`], which fills the exact miss histogram, the ATD view's
+//! histogram (its sampled sets' stacks are the exact replay's stacks) and
+//! one compact record per access. One kernel then computes every core
+//! size's leading misses from those records
+//! ([`cache_model::ReplayProfile::leading_miss_matrix`]).
 
 use crate::phase::PhaseSpec;
 use crate::stream::StreamGenerator;
-use cache_model::{MlpAtd, MlpAtdConfig, OverlapParams, ReplayProfile, StackDistanceProfiler};
+use cache_model::{OverlapParams, SliceReplay};
 use core_model::{exec_cpi_curve, PhaseCharacterization};
 use qosrm_types::{LlcGeometry, PlatformConfig, QosrmError};
 use serde::{Deserialize, Serialize};
@@ -34,34 +43,40 @@ pub struct CharacterizationConfig {
 }
 
 impl CharacterizationConfig {
-    /// Default configuration for a platform: simulate 1/16 of the LLC sets
-    /// and 1/16 of the interval, with an additional 1-in-4 ATD sampling.
+    /// Default (full-mode) configuration for a platform: simulate 1/16 of
+    /// the LLC sets (at least 64, at most all of them) and 1/16 of the
+    /// interval, with an additional 1-in-8 ATD sampling.
     pub fn for_platform(platform: &PlatformConfig) -> Self {
-        let scale = 16u64;
-        let sim_sets = (platform.llc.num_sets / scale as usize).max(64);
-        CharacterizationConfig {
-            sim_llc: LlcGeometry {
-                num_sets: sim_sets,
-                associativity: platform.llc.associativity,
-                line_bytes: platform.llc.line_bytes,
-            },
-            scale: (platform.llc.num_sets / sim_sets) as u64,
-            atd_sampling: 8,
-            warmup_fraction: 0.5,
-        }
+        Self::scaled(platform, 16, 64, 8)
     }
 
-    /// A much coarser configuration for unit tests (1/64 of the sets).
+    /// The coarser configuration of quick mode: 1/64 of the LLC sets (at
+    /// least 32, at most all of them) with 1-in-2 ATD sampling. This is the
+    /// production `--quick` configuration: both goldens' quick runs, the
+    /// gated benchmark workloads and most tests characterize with it.
     pub fn quick_for_tests(platform: &PlatformConfig) -> Self {
-        let sim_sets = (platform.llc.num_sets / 64).max(32);
+        Self::scaled(platform, 64, 32, 2)
+    }
+
+    /// Simulates `1/divisor` of the LLC sets, but at least `min_sets` and
+    /// never more sets than the LLC has, so `scale` is a power of two
+    /// `>= 1` on every valid platform.
+    fn scaled(
+        platform: &PlatformConfig,
+        divisor: usize,
+        min_sets: usize,
+        atd_sampling: usize,
+    ) -> Self {
+        let num_sets = platform.llc.num_sets;
+        let sim_sets = (num_sets / divisor).max(min_sets).min(num_sets);
         CharacterizationConfig {
             sim_llc: LlcGeometry {
                 num_sets: sim_sets,
                 associativity: platform.llc.associativity,
                 line_bytes: platform.llc.line_bytes,
             },
-            scale: (platform.llc.num_sets / sim_sets) as u64,
-            atd_sampling: 2,
+            scale: (num_sets / sim_sets) as u64,
+            atd_sampling,
             warmup_fraction: 0.5,
         }
     }
@@ -121,11 +136,11 @@ impl PhaseCharacterizer {
         &self.config
     }
 
-    /// Characterizes one phase: generates its warm-up and representative
-    /// streams, replays them through the scaled LLC (exact and ATD-sampled),
-    /// and assembles the [`PhaseCharacterization`].
+    /// Characterizes one phase: streams its warm-up and representative
+    /// slices through one replay of the scaled LLC (read exactly and
+    /// through the ATD's sampled sets), and assembles the
+    /// [`PhaseCharacterization`].
     pub fn characterize(&self, spec: &PhaseSpec, seed: u64) -> PhaseCharacterization {
-        let assoc = self.config.sim_llc.associativity;
         let sim_instructions =
             (self.platform.interval_instructions / self.config.scale).max(10_000);
         let warm_instructions = (sim_instructions as f64 * self.config.warmup_fraction) as u64;
@@ -136,42 +151,25 @@ impl PhaseCharacterizer {
             region.lines = self.config.scale_lines(region.lines);
         }
 
+        // The ATD view additionally samples the simulated sets (it models
+        // the shadow tag directory hardware monitor).
+        let sampling = self.config.atd_sampling.max(1);
+        let mut replay = SliceReplay::new(&self.config.sim_llc, sampling, 1 % sampling);
         let mut generator = StreamGenerator::new(seed, 0);
-        let warm_trace = generator.generate(&scaled, warm_instructions.max(1_000));
-        let main_trace = generator.generate(&scaled, sim_instructions);
-
-        // Exact (ground-truth) replay over every simulated set.
-        let mut exact = StackDistanceProfiler::new(&self.config.sim_llc);
-        exact.warm_up(&warm_trace);
-        let exact_profile = exact.replay(&main_trace);
-
-        // ATD miss-curve view: additionally set-sampled (models the shadow
-        // tag directory hardware monitor).
-        let mut atd = StackDistanceProfiler::sampled(
-            &self.config.sim_llc,
-            self.config.atd_sampling,
-            1 % self.config.atd_sampling.max(1),
-        );
-        atd.warm_up(&warm_trace);
-        let atd_profile = atd.replay(&main_trace);
+        generator.stream(&scaled, warm_instructions.max(1_000), |access| {
+            replay.warm(&access)
+        });
+        generator.stream(&scaled, sim_instructions, |access| replay.record(&access));
 
         let scale = self.config.scale;
-        let scaled_curve = |profile: &ReplayProfile| -> Vec<u64> {
-            let curve = profile.miss_curve(assoc);
-            curve.as_slice().iter().map(|&m| m * scale).collect()
-        };
-        let misses_per_way = scaled_curve(&exact_profile);
-        let atd_misses_per_way = scaled_curve(&atd_profile);
-
-        let mlp_config = MlpAtdConfig {
-            set_sampling: 1,
-            core_sizes: self.overlap_params.clone(),
-        };
-        let exact_matrix = MlpAtd::matrix_from_profile(&exact_profile, &mlp_config, assoc);
-        let leading_misses: Vec<Vec<u64>> = exact_matrix
+        let exact = replay.exact();
+        let misses_per_way = exact.histogram().miss_curve(scale);
+        let atd_misses_per_way = replay.atd().miss_curve(sampling as u64 * scale);
+        let leading_misses: Vec<Vec<u64>> = exact
+            .leading_miss_matrix(&self.overlap_params)
             .leading
-            .iter()
-            .map(|row| row.iter().map(|&v| v * scale).collect())
+            .into_iter()
+            .map(|row| row.into_iter().map(|v| v * scale).collect())
             .collect();
         // The MLP-ATD extension observes miss overlap at the MSHR file, which
         // sees every real miss (not only the ATD-sampled sets); its reported
@@ -189,7 +187,7 @@ impl PhaseCharacterizer {
 
         PhaseCharacterization {
             instructions: self.platform.interval_instructions,
-            llc_accesses: main_trace.len() as u64 * scale,
+            llc_accesses: exact.histogram().accesses() * scale,
             exec_cpi,
             misses_per_way,
             leading_misses,
@@ -203,7 +201,8 @@ impl PhaseCharacterizer {
 mod tests {
     use super::*;
     use crate::phase::PhaseSpec;
-    use qosrm_types::CoreSizeIdx;
+    use cache_model::StackDistanceProfiler;
+    use qosrm_types::{CoreSizeIdx, MissProfile};
 
     fn platform() -> PlatformConfig {
         PlatformConfig::paper2(4)
@@ -212,6 +211,94 @@ mod tests {
     fn characterizer() -> PhaseCharacterizer {
         let p = platform();
         PhaseCharacterizer::new(&p, CharacterizationConfig::quick_for_tests(&p))
+    }
+
+    /// The characterization as it was before the one-pass replay: both
+    /// slices stored as traces, an exact replay of every set and a separate
+    /// replay of the ATD's sampled sets.
+    fn two_replay_reference(
+        c: &PhaseCharacterizer,
+        spec: &PhaseSpec,
+        seed: u64,
+    ) -> PhaseCharacterization {
+        let config = c.config();
+        let sim_instructions = (c.platform.interval_instructions / config.scale).max(10_000);
+        let warm_instructions = (sim_instructions as f64 * config.warmup_fraction) as u64;
+        let mut scaled = spec.clone();
+        for region in &mut scaled.regions {
+            region.lines = config.scale_lines(region.lines);
+        }
+        let mut generator = StreamGenerator::new(seed, 0);
+        let warm_trace = generator.generate(&scaled, warm_instructions.max(1_000));
+        let main_trace = generator.generate(&scaled, sim_instructions);
+        let mut exact = StackDistanceProfiler::new(&config.sim_llc);
+        exact.warm_up(&warm_trace);
+        let exact = exact.replay(&main_trace);
+        let sampling = config.atd_sampling;
+        let mut atd = StackDistanceProfiler::sampled(&config.sim_llc, sampling, 1 % sampling);
+        atd.warm_up(&warm_trace);
+        let atd = atd.replay(&main_trace);
+        let scaled_curve = |curve: MissProfile| -> Vec<u64> {
+            curve.as_slice().iter().map(|&m| m * config.scale).collect()
+        };
+        let leading = exact.leading_miss_matrix(&c.overlap_params).leading;
+        let leading_misses: Vec<Vec<u64>> = leading
+            .iter()
+            .map(|row| row.iter().map(|&v| v * config.scale).collect())
+            .collect();
+        PhaseCharacterization {
+            instructions: c.platform.interval_instructions,
+            llc_accesses: main_trace.len() as u64 * config.scale,
+            exec_cpi: exec_cpi_curve(
+                &spec.ilp,
+                &c.platform.core_sizes,
+                c.platform.baseline_core_size,
+            ),
+            misses_per_way: scaled_curve(exact.miss_curve()),
+            atd_misses_per_way: scaled_curve(atd.miss_curve()),
+            atd_leading_misses: leading_misses.clone(),
+            leading_misses,
+        }
+    }
+
+    #[test]
+    fn one_pass_equals_the_two_replay_reference_on_every_suite_phase() {
+        for p in [PlatformConfig::paper1(4), PlatformConfig::paper2(4)] {
+            let c = PhaseCharacterizer::new(&p, CharacterizationConfig::quick_for_tests(&p));
+            for name in crate::benchmark_names() {
+                let profile = crate::benchmark(name).expect("suite benchmark");
+                for (i, spec) in profile.phases.iter().enumerate() {
+                    let seed = profile.phase_seed(i);
+                    let reference = two_replay_reference(&c, spec, seed);
+                    assert_eq!(c.characterize(spec, seed), reference, "{name} phase {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn llcs_smaller_than_the_scaled_replay_are_simulated_whole() {
+        let mut p = PlatformConfig::paper1(4);
+        p.llc.num_sets = 16;
+        p.interval_instructions = 200_000;
+        for config in [
+            CharacterizationConfig::for_platform(&p),
+            CharacterizationConfig::quick_for_tests(&p),
+        ] {
+            assert!(config.validate().is_ok());
+            assert_eq!((config.sim_llc.num_sets, config.scale), (16, 1));
+            let c = PhaseCharacterizer::new(&p, config);
+            let spec = PhaseSpec::cache_sensitive_bursty("b", 12.0, 1_024);
+            let phase = c.characterize(&spec, 3);
+            assert!(phase.validate().is_ok());
+            assert!(phase.llc_accesses > 0);
+        }
+        // The shipped platforms keep their scaled geometry.
+        let p = PlatformConfig::paper2(4);
+        let quick = CharacterizationConfig::quick_for_tests(&p);
+        assert_eq!((quick.sim_llc.num_sets, quick.scale), (64, 64));
+        let full = CharacterizationConfig::for_platform(&p);
+        assert_eq!((full.sim_llc.num_sets, full.scale), (256, 16));
     }
 
     #[test]

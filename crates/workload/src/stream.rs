@@ -37,12 +37,11 @@ impl StreamGenerator {
     }
 
     /// Generates the reference stream of one slice of `instructions`
-    /// instructions behaving as described by `spec`.
-    pub fn generate(&mut self, spec: &PhaseSpec, instructions: u64) -> AccessTrace {
+    /// instructions behaving as described by `spec`, handing each access to
+    /// `sink` in program order. Nothing is stored: the characterization
+    /// replays the stream as it is generated.
+    pub fn stream(&mut self, spec: &PhaseSpec, instructions: u64, mut sink: impl FnMut(Access)) {
         debug_assert!(spec.validate().is_ok(), "invalid phase spec {}", spec.name);
-        let expected_accesses = (instructions as f64 * spec.apki / 1000.0) as usize;
-        let mut accesses = Vec::with_capacity(expected_accesses + spec.burst_len);
-
         // Pre-compute cumulative region weights.
         let total_weight: f64 = spec.regions.iter().map(|r| r.weight).sum();
         let mut cumulative = Vec::with_capacity(spec.regions.len());
@@ -67,17 +66,24 @@ impl StreamGenerator {
                 }
                 let line = self.pick_line(spec, &cumulative);
                 let dependent = self.rng.gen::<f64>() < spec.dependent_fraction;
-                let access = if dependent {
+                sink(if dependent {
                     Access::dependent(self.address_offset + line, inst)
                 } else {
                     Access::new(self.address_offset + line, inst)
-                };
-                accesses.push(access);
+                });
                 inst += spec.intra_burst_gap.max(1);
             }
             let jitter = self.rng.gen_range(0.6..1.4);
             inst += (inter_burst_gap * jitter) as u64 + 1;
         }
+    }
+
+    /// The reference stream of one slice (see [`Self::stream`]), collected
+    /// into an [`AccessTrace`].
+    pub fn generate(&mut self, spec: &PhaseSpec, instructions: u64) -> AccessTrace {
+        let expected_accesses = (instructions as f64 * spec.apki / 1000.0) as usize;
+        let mut accesses = Vec::with_capacity(expected_accesses + spec.burst_len);
+        self.stream(spec, instructions, |access| accesses.push(access));
         AccessTrace::new(accesses, instructions)
     }
 
@@ -134,6 +140,22 @@ mod tests {
         assert_eq!(a, b);
         let c = StreamGenerator::new(43, 0).generate(&spec, 500_000);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn generate_collects_the_stream() {
+        let spec = PhaseSpec::cache_sensitive_bursty("b", 15.0, 4096);
+        let mut streamed = Vec::new();
+        let mut generator = StreamGenerator::new(42, 1 << 50);
+        // Two slices from one generator: the second continues the first's
+        // random state and streaming cursor on both paths.
+        generator.stream(&spec, 300_000, |access| streamed.push(access));
+        generator.stream(&spec, 200_000, |access| streamed.push(access));
+        let mut generator = StreamGenerator::new(42, 1 << 50);
+        let mut collected = generator.generate(&spec, 300_000).accesses().to_vec();
+        collected.extend_from_slice(generator.generate(&spec, 200_000).accesses());
+        assert!(!streamed.is_empty());
+        assert_eq!(streamed, collected);
     }
 
     #[test]
