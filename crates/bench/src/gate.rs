@@ -655,11 +655,11 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// submissions cycling `distinct` variants of a 3-scenario Paper I spec)
 /// against an in-process `qosrm_serve` daemon on an ephemeral port, cold per
 /// repetition (fresh daemon and data directory). The daemon runs one worker
-/// with serial in-run evaluation and memoization on, so every counter its
-/// `/stats` endpoint reports is deterministic regardless of admission
-/// interleaving: each distinct spec is admitted exactly once (the rest
-/// deduplicate), each curve key misses exactly once whichever run looks it
-/// up first, and every streaming tail sees its run's full outcome count.
+/// with memoization on, so every counter its `/stats` endpoint reports is
+/// deterministic regardless of admission interleaving: each distinct spec
+/// is admitted exactly once (the rest deduplicate), each curve key misses
+/// exactly once whichever run looks it up first (misses are single-flight),
+/// and every streaming tail sees its run's full outcome count.
 /// The wall (submission through last merged result fetch, including the
 /// quick database builds the runs trigger) is banded.
 fn run_serve(reps: usize, clients: usize, per_client: usize, distinct: usize) -> Measured {
@@ -681,7 +681,6 @@ fn run_serve(reps: usize, clients: usize, per_client: usize, distinct: usize) ->
             data_dir: dir.clone(),
             workers: 1,
             default_shard_size: 1,
-            serial: true,
             ..Default::default()
         })
         .expect("in-process daemon must start on an ephemeral port");
@@ -715,7 +714,7 @@ fn run_serve(reps: usize, clients: usize, per_client: usize, distinct: usize) ->
 
     let [submitted, runs, outcomes, streamed, hits, misses] = counters;
     let workload = format!(
-        "in-process daemon (1 worker, serial runs, shared quick curve cache), cold per \
+        "in-process daemon (1 worker, shared quick curve cache), cold per \
          repetition: {clients} clients x {per_client} submissions cycling {distinct} variants of \
          a paper1-4c 3-mix synth spec, shard size 1"
     );

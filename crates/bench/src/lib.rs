@@ -39,7 +39,7 @@ pub(crate) fn observations(
             app: qosrm_types::AppId(core),
             stats: ground_truth.interval_stats(phase, setting),
             miss_profile: MissProfile::new(phase.atd_misses_per_way.clone()),
-            mlp_profile: Some(MlpProfile::new(phase.atd_leading_misses.clone())),
+            mlp_profile: Some(MlpProfile::new(phase.leading_misses.clone())),
             scaling_profile: Some(CoreScalingProfile::new(phase.exec_cpi.clone())),
             perfect: None,
         }

@@ -24,13 +24,46 @@
 //! histogram together. A set-sampled ATD's stacks are exactly the exact
 //! replay's stacks for the sets it samples, so the second replay a separate
 //! [`StackDistanceProfiler::sampled`] would run is redundant; it survives as
-//! the hardware [`crate::Atd`] model and as the test oracle of the one-pass
-//! view.
+//! the test oracle of the one-pass view.
+//!
+//! Leading misses follow Paper II's MLP-aware ATD extension: a miss issued
+//! while another is outstanding is (partially) hidden and does not extend
+//! execution time, so memory stall time is governed by the *leading*
+//! (non-overlapped) misses of every (core size, way allocation) pair.
 
 use crate::access::{Access, AccessTrace};
-use crate::mlp_atd::{LeadingMissMatrix, OverlapParams};
 use crate::replacement::LruStack;
-use qosrm_types::{LlcGeometry, MissProfile, MAX_MSHRS, MAX_ROB_ENTRIES};
+use qosrm_types::{CoreSizeParams, LlcGeometry, MissProfile, MAX_MSHRS, MAX_ROB_ENTRIES};
+use serde::{Deserialize, Serialize};
+
+/// Parameters that bound how aggressively misses can overlap on a given core
+/// configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OverlapParams {
+    /// Re-order-buffer window in instructions: two misses further apart than
+    /// this cannot be in flight together.
+    pub rob_entries: usize,
+    /// Miss-status holding registers: at most this many misses can overlap in
+    /// one group.
+    pub mshrs: usize,
+}
+
+impl From<&CoreSizeParams> for OverlapParams {
+    fn from(p: &CoreSizeParams) -> Self {
+        OverlapParams {
+            rob_entries: p.rob_entries,
+            mshrs: p.mshrs,
+        }
+    }
+}
+
+/// Leading-miss counts for every (core size, way allocation) combination of
+/// one interval.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LeadingMissMatrix {
+    /// `leading[s][w-1]` = leading misses with core size `s` and `w` ways.
+    pub leading: Vec<Vec<u64>>,
+}
 
 /// One replayed access, as compact as the leading-miss kernel reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +149,7 @@ pub struct StackDistanceProfiler {
     /// unbounded test oracle.
     depth: usize,
     /// Optional set-sampling: only sets whose index satisfies
-    /// `set % sampling == offset` are profiled (used by the ATD model).
+    /// `set % sampling == offset` are profiled (the ATD view's oracle).
     sampling: usize,
     offset: usize,
     sets: Vec<LruStack>,

@@ -1,8 +1,7 @@
 //! Property-based tests of the cache substrate invariants.
 
 use cache_model::{
-    Access, AccessTrace, Atd, AtdConfig, OverlapParams, PartitionedCache, ReplacementPolicy,
-    StackDistanceProfiler,
+    Access, AccessTrace, OverlapParams, PartitionedCache, ReplacementPolicy, StackDistanceProfiler,
 };
 use proptest::prelude::*;
 use qosrm_types::{CoreId, LlcGeometry, WayPartition};
@@ -88,13 +87,14 @@ proptest! {
         prop_assert!(lead_large <= lead_small, "bigger cores can only merge more misses");
     }
 
-    /// A set-sampled ATD never reports a non-monotonic curve and its estimate
-    /// stays within a loose bound of the exact profile for uniform traffic.
+    /// A set-sampled profile (the oracle of the characterization's ATD
+    /// view) never reports a non-monotonic curve, and its scaled estimate
+    /// never exceeds every access missing in every sampled set.
     #[test]
     fn sampled_atd_monotone(trace in trace_strategy(512)) {
         let geom = small_geometry();
-        let mut atd = Atd::new(geom, AtdConfig { set_sampling: 4, bits_per_entry: 28 });
-        let profile = atd.observe_interval(&trace);
+        let mut atd = StackDistanceProfiler::sampled(&geom, 4, 0);
+        let profile = atd.replay(&trace).miss_curve();
         prop_assert!(profile.validate().is_ok());
         prop_assert!(profile.misses_at(1) <= 4 * trace.len() as u64);
     }

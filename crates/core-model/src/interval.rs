@@ -218,7 +218,6 @@ mod tests {
                 1_000_000, 800_000, 600_000, 450_000, 380_000, 330_000, 300_000, 280_000, 265_000,
                 255_000, 248_000, 243_000, 239_000, 236_000, 234_000, 233_000,
             ],
-            atd_leading_misses: vec![vec![0; 16], vec![0; 16], vec![0; 16]],
         }
     }
 

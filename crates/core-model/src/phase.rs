@@ -7,14 +7,19 @@ use serde::{Deserialize, Serialize};
 /// (one representative slice), obtained by replaying the phase's reference
 /// stream through the cache substrate and applying the ILP model.
 ///
-/// Two views of the cache behaviour are kept:
+/// Two views of the miss curve are kept:
 ///
-/// * the **exact** counts (`misses_per_way`, `leading_misses`) used as ground
-///   truth by the simulation database, and
-/// * the **ATD-sampled** counts (`atd_misses_per_way`, `atd_leading_misses`)
-///   that model what the set-sampled hardware monitors report to the resource
-///   manager — these differ from the exact counts by the sampling error,
-///   which is one of the sources of modeling error the paper analyses.
+/// * the **exact** counts (`misses_per_way`) used as ground truth by the
+///   simulation database, and
+/// * the **ATD-sampled** counts (`atd_misses_per_way`) that model what the
+///   set-sampled shadow tag directory reports to the resource manager —
+///   these differ from the exact counts by the sampling error, which is one
+///   of the sources of modeling error the paper analyses.
+///
+/// The leading-miss counts (`leading_misses`) are stored once: the MLP-aware
+/// ATD extension observes miss overlap at the MSHR file, which sees every
+/// real miss rather than only the sampled sets, so what it reports equals
+/// the exact counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseCharacterization {
     /// Instructions of one interval of this phase.
@@ -25,13 +30,11 @@ pub struct PhaseCharacterization {
     pub exec_cpi: Vec<f64>,
     /// Exact LLC misses for every way allocation (`[w-1]`).
     pub misses_per_way: Vec<u64>,
-    /// Exact leading misses for every `(core size, way allocation)`.
+    /// Leading misses for every `(core size, way allocation)`: the ground
+    /// truth and what the MLP-aware ATD extension reports.
     pub leading_misses: Vec<Vec<u64>>,
     /// ATD-reported (set-sampled) misses for every way allocation.
     pub atd_misses_per_way: Vec<u64>,
-    /// ATD-reported (set-sampled) leading misses for every
-    /// `(core size, way allocation)`.
-    pub atd_leading_misses: Vec<Vec<u64>>,
 }
 
 impl PhaseCharacterization {
@@ -92,16 +95,12 @@ impl PhaseCharacterization {
                 "ATD miss curve length differs from exact curve".into(),
             ));
         }
-        if self.leading_misses.len() != sizes || self.atd_leading_misses.len() != sizes {
+        if self.leading_misses.len() != sizes {
             return Err(QosrmError::InvalidWorkload(
-                "leading-miss matrices must cover every core size".into(),
+                "leading-miss matrix must cover every core size".into(),
             ));
         }
-        for row in self
-            .leading_misses
-            .iter()
-            .chain(self.atd_leading_misses.iter())
-        {
+        for row in &self.leading_misses {
             if row.len() != ways {
                 return Err(QosrmError::InvalidWorkload(
                     "leading-miss matrix row length differs from way count".into(),
@@ -152,11 +151,6 @@ mod tests {
                 vec![3200, 2500, 1750, 1360, 1160, 1030, 950, 910],
             ],
             atd_misses_per_way: vec![8200, 6100, 4050, 3060, 2540, 2230, 2030, 1930],
-            atd_leading_misses: vec![
-                vec![7100, 5500, 3750, 2840, 2380, 2100, 1920, 1830],
-                vec![5100, 3850, 2640, 2030, 1720, 1520, 1400, 1340],
-                vec![3260, 2540, 1780, 1380, 1180, 1040, 960, 920],
-            ],
         }
     }
 

@@ -316,9 +316,9 @@ fn respond(
 /// at every budget, and a [`Budget::Slack`] step of `arena` reads it at the
 /// first minimum over the budgets `cores..=total_ways`: ties go to the
 /// fewest total ways, then to the arena's split order. The step reuses the
-/// rows `arena` retains from its previous slack step for every core whose
-/// `dirty` entry is false (see [`IncrementalOptimizer::optimize`]); a fresh
-/// arena builds every row.
+/// rows `arena` retains from its previous step, exact or slack, for every
+/// core whose `dirty` entry is false (see [`IncrementalOptimizer::optimize`]);
+/// a fresh arena builds every row.
 ///
 /// Best-response rounds started from that point certify it. On an
 /// equilibrium the first round moves nothing. No core can move to fewer

@@ -22,7 +22,7 @@
 //! The convolution itself is **pruned with energy lower bounds**: every node
 //! records the minimum energy over all of its feasible budgets, and a split
 //! candidate is skipped when `left(w) + min(right)` already cannot beat the
-//! incumbent. Because the bound is a true lower bound and the incumbent
+//! running best. Because the bound is a true lower bound and the best-so-far
 //! comparison is strict (`<`), pruning never changes the computed energies
 //! *or* the recorded argmin splits — results are bit-identical to the naive
 //! scan, as [`optimize_partition_unpruned`] and the property tests in
@@ -36,22 +36,17 @@
 //! (`left_row[k - 1] + right_rev[right_max - total + k]`), and each
 //! 4-candidate chunk is processed branch-free — unrolled loads, sums in
 //! the scalar path's exact `left + right` operand order (no FMA
-//! reassociation), and explicit *pairwise* min/max trees that the SLP
+//! reassociation), and explicit *pairwise* min trees that the SLP
 //! vectorizer packs into two-lane ops (a serial fold would require float
-//! reassociation, which the compiler rightly refuses). Without an
-//! incumbent bound the scalar decision sequence is reproduced exactly
-//! without branching: the running best at candidate `l` equals the prefix
-//! minimum over **all** earlier sums (a pruned candidate can never update
-//! it), so each prune flag is an OR of independent compares against
-//! `best` and earlier sums, and the strict-`<` argmin is a first-tie scan
-//! entered only when the chunk minimum beats `best`. With a finite
-//! incumbent (the warm-start path) conservative chunk-level tests
-//! dispatch between an all-pruned shortcut, an all-evaluated fast path,
-//! and an exact scalar *replay* of the chunk. In every case the recorded
-//! energies, argmin splits *and* the [`PruneStats`] counters are
-//! bit-identical to the scalar loop, which is preserved as
-//! [`optimize_partition_scalar`] for the perf gate and the property
-//! tests.
+//! reassociation, which the compiler rightly refuses). The scalar decision
+//! sequence is reproduced exactly without branching: the running best at
+//! candidate `l` equals the prefix minimum over **all** earlier sums (a
+//! pruned candidate can never update it), so each prune flag is an OR of
+//! independent compares against `best` and earlier sums, and the strict-`<`
+//! argmin is a first-tie scan entered only when the chunk minimum beats
+//! `best`. The recorded energies, argmin splits *and* the [`PruneStats`]
+//! counters are bit-identical to the scalar loop, which is preserved as
+//! [`optimize_partition_scalar`] for the perf gate and the property tests.
 //!
 //! # Incremental re-optimization
 //!
@@ -61,12 +56,10 @@
 //! rows, recombines exactly the inner nodes on their paths to the root, and
 //! reuses every other row verbatim (deterministic kernels on
 //! bitwise-identical inputs reproduce rows bitwise, so reuse is exact). A
-//! cold step is the same step with nothing retained. The root row of a
-//! [`Budget::Exact`] step may additionally be pruned with the previous
-//! allocation's energy as an upper bound; a [`Budget::Slack`] step
-//! (equilibrium selection) reads the whole root row and never is. See
-//! [`IncrementalOptimizer::optimize`] for why the bound is applied at the
-//! root only.
+//! cold step is the same step with nothing retained. Every row, the root
+//! included, holds the exact minimum at every budget, so one retained arena
+//! answers a [`Budget::Exact`] step (the cooperative pick) and a
+//! [`Budget::Slack`] step (equilibrium selection) alike.
 
 use crate::curve::{CurvePoint, EnergyCurve};
 
@@ -157,21 +150,10 @@ enum Kernel {
 /// row is copied into it reversed so both operands of a candidate sum are
 /// read at ascending unit-stride indices (`right_row[total - k - 1]` becomes
 /// `right_rev[right_max - total + k]`). Each chunk's four sums are computed
-/// branch-free in the exact `left + right` operand order; the incumbent-free
-/// path then derives every prune decision and the strict-`<` argmin from
-/// independent compares (see the module notes), while the warm-start path
-/// dispatches between chunk-level shortcuts and an exact scalar replay —
-/// either way results *and* [`PruneStats`] match the scalar kernel bit for
-/// bit (f64 addition is deterministic).
-///
-/// `incumbent` is an optional exact upper bound on the energy the caller
-/// will read out of this row (pass `f64::INFINITY` for none): candidates
-/// whose lower bound strictly exceeds it are skipped. The test is strict
-/// (`>`), so a candidate tying the bound is still evaluated and the argmin
-/// at any cell whose true minimum is `<= incumbent` is unchanged; cells
-/// whose minimum exceeds the bound may record larger values, which is why
-/// only the root row — whose non-requested cells feed nothing — ever gets
-/// a finite incumbent (see [`IncrementalOptimizer::optimize`]).
+/// branch-free in the exact `left + right` operand order, and every prune
+/// decision and the strict-`<` argmin follow from independent compares (see
+/// the module notes), so results *and* [`PruneStats`] match the scalar
+/// kernel bit for bit (f64 addition is deterministic).
 #[allow(clippy::too_many_arguments)]
 fn convolve_rows_chunked(
     left_row: &[f64],
@@ -183,7 +165,6 @@ fn convolve_rows_chunked(
     max_total: usize,
     out_energy: &mut [f64],
     out_split: &mut [usize],
-    incumbent: f64,
     stats: &mut PruneStats,
 ) -> f64 {
     let left_max = left_row.len();
@@ -214,10 +195,10 @@ fn convolve_rows_chunked(
                 // Branch-free 4-wide chunk: unrolled unit-stride loads and
                 // candidate sums in the scalar path's exact operand order
                 // (`left + right`, no reassociation), then the chunk
-                // extrema as explicit pairwise trees — fixed-shape
-                // reductions the SLP vectorizer packs into two-lane
-                // min/max ops, unlike a serial fold whose float
-                // reassociation the compiler must refuse.
+                // minimum as an explicit pairwise tree — a fixed-shape
+                // reduction the SLP vectorizer packs into two-lane min
+                // ops, unlike a serial fold whose float reassociation the
+                // compiler must refuse.
                 let l0 = ls[i];
                 let l1 = ls[i + 1];
                 let l2 = ls[i + 2];
@@ -226,126 +207,54 @@ fn convolve_rows_chunked(
                 let s1 = l1 + rs[i + 1];
                 let s2 = l2 + rs[i + 2];
                 let s3 = l3 + rs[i + 3];
-                if incumbent == f64::INFINITY {
-                    // Without an incumbent bound the scalar decision
-                    // sequence is *exactly* reproducible without branches:
-                    // the running best at candidate `l` equals the prefix
-                    // minimum `p_l = min(best, sums[..l])` over **all**
-                    // earlier sums (a pruned candidate's sum is ≥ its
-                    // bound ≥ the running best, so skipping it never
-                    // changes the prefix minimum), candidate `l` is pruned
-                    // iff `bound_l ≥ p_l`, and the first lane at the chunk
-                    // minimum is never pruned — so flags, counters, and
-                    // the strict-`<` argmin all fall out of four compares
-                    // and a three-deep select chain.
-                    // `x ≥ min(set)` ⇔ some member is ≤ x, so each flag is
-                    // an OR of independent compares (reusing the min
-                    // tree's `m01`) rather than a serial select chain —
-                    // nothing in the chunk depends on anything but `best`.
-                    let m01 = if s0 < s1 { s0 } else { s1 };
-                    let m23 = if s2 < s3 { s2 } else { s3 };
-                    let chunk_min = if m01 < m23 { m01 } else { m23 };
-                    stats.lanes += 1;
-                    let b0 = l0 + right_min;
-                    let b1 = l1 + right_min;
-                    let b2 = l2 + right_min;
-                    let b3 = l3 + right_min;
-                    let pr = (b0 >= best) as u64
-                        + ((b1 >= best) | (b1 >= s0)) as u64
-                        + ((b2 >= best) | (b2 >= m01)) as u64
-                        + ((b3 >= best) | (b3 >= m01) | (b3 >= s2)) as u64;
-                    stats.pruned += pr;
-                    stats.ops += LANES as u64 - pr;
-                    // Rarely taken: the chunk only matters when it beats
-                    // the incumbent best, so the cross-chunk dependency is
-                    // a predicted-untaken branch, not a float min.
-                    if chunk_min < best {
-                        let sums = [s0, s1, s2, s3];
-                        let mut mi = 0usize;
-                        while sums[mi] > chunk_min {
-                            mi += 1;
-                        }
-                        best = sums[mi];
-                        best_split = lo + i + mi;
-                    }
-                    i += LANES;
-                    continue;
-                }
-                let lmin01 = if l0 < l1 { l0 } else { l1 };
-                let lmin23 = if l2 < l3 { l2 } else { l3 };
-                let lmax01 = if l0 > l1 { l0 } else { l1 };
-                let lmax23 = if l2 > l3 { l2 } else { l3 };
-                let smin01 = if s0 < s1 { s0 } else { s1 };
-                let smin23 = if s2 < s3 { s2 } else { s3 };
-                let left_min = if lmin01 < lmin23 { lmin01 } else { lmin23 };
-                let left_max = if lmax01 > lmax23 { lmax01 } else { lmax23 };
-                let sum_min = if smin01 < smin23 { smin01 } else { smin23 };
+                // The scalar decision sequence is *exactly* reproducible
+                // without branches: the running best at candidate `l`
+                // equals the prefix minimum `p_l = min(best, sums[..l])`
+                // over **all** earlier sums (a pruned candidate's sum is
+                // ≥ its bound ≥ the running best, so skipping it never
+                // changes the prefix minimum), candidate `l` is pruned iff
+                // `bound_l ≥ p_l`, and the first lane at the chunk minimum
+                // is never pruned — so flags, counters, and the strict-`<`
+                // argmin all fall out of four compares and a three-deep
+                // select chain. `x ≥ min(set)` ⇔ some member is ≤ x, so
+                // each flag is an OR of independent compares (reusing the
+                // min tree's `m01`) rather than a serial select chain —
+                // nothing in the chunk depends on anything but `best`.
+                let m01 = if s0 < s1 { s0 } else { s1 };
+                let m23 = if s2 < s3 { s2 } else { s3 };
+                let chunk_min = if m01 < m23 { m01 } else { m23 };
                 stats.lanes += 1;
-                // All-pruned fast path: a pruned candidate never updates
-                // `best` (its sum is ≥ its bound), so if even the chunk's
-                // smallest bound fails against the running best, the
-                // sequential scan prunes all four candidates and leaves
-                // `best` untouched.
-                if left_min + right_min >= best {
-                    stats.pruned += LANES as u64;
-                    i += LANES;
-                    continue;
-                }
-                let sums = [s0, s1, s2, s3];
-                let bound_max = left_max + right_min;
-                // Fast path: candidate `l` is pruned iff its bound fails
-                // against the running best *at that candidate*, which is
-                // `min(best, sums[..l])`. When the chunk's largest bound
-                // beats `best`, every in-chunk sum and the incumbent, no
-                // candidate can be pruned — so the scalar decision
-                // sequence collapses to `ops += LANES` plus a first-tie
-                // min scan (strict `<` keeps the earliest argmin, exactly
-                // like the sequential updates).
-                let no_prune = bound_max < best && bound_max < sum_min && bound_max <= incumbent;
-                if no_prune {
-                    stats.ops += LANES as u64;
-                    // The chunk only changes the outcome when its minimum
-                    // improves `best`; locate the winning lane lazily (the
-                    // earliest lane at the minimum — ties can't displace
-                    // it under the sequential strict-`<` updates, and the
-                    // recorded value is that lane's sum bit for bit).
-                    if sum_min < best {
-                        let mut mi = 0usize;
-                        while sums[mi] > sum_min {
-                            mi += 1;
-                        }
-                        best = sums[mi];
-                        best_split = lo + i + mi;
+                let b0 = l0 + right_min;
+                let b1 = l1 + right_min;
+                let b2 = l2 + right_min;
+                let b3 = l3 + right_min;
+                let pr = (b0 >= best) as u64
+                    + ((b1 >= best) | (b1 >= s0)) as u64
+                    + ((b2 >= best) | (b2 >= m01)) as u64
+                    + ((b3 >= best) | (b3 >= m01) | (b3 >= s2)) as u64;
+                stats.pruned += pr;
+                stats.ops += LANES as u64 - pr;
+                // Rarely taken: the chunk only matters when it beats the
+                // running best, so the cross-chunk dependency is a
+                // predicted-untaken branch, not a float min.
+                if chunk_min < best {
+                    let sums = [s0, s1, s2, s3];
+                    let mut mi = 0usize;
+                    while sums[mi] > chunk_min {
+                        mi += 1;
                     }
-                } else {
-                    // Replay the scalar incumbent/prune decisions over the
-                    // precomputed sums (sequential by construction: `best`
-                    // carries between candidates).
-                    for l in 0..LANES {
-                        let left_energy = ls[i + l];
-                        let bound = left_energy + right_min;
-                        if bound >= best || bound > incumbent {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        stats.ops += 1;
-                        let e = sums[l];
-                        if e < best {
-                            best = e;
-                            best_split = lo + i + l;
-                        }
-                    }
+                    best = sums[mi];
+                    best_split = lo + i + mi;
                 }
                 i += LANES;
             }
             while i < n {
                 let left_energy = ls[i];
-                let bound = left_energy + right_min;
-                if bound >= best || bound > incumbent {
+                if left_energy + right_min >= best {
                     stats.pruned += 1;
                 } else {
                     stats.ops += 1;
-                    let e = ls[i] + rs[i];
+                    let e = left_energy + rs[i];
                     if e < best {
                         best = e;
                         best_split = lo + i;
@@ -389,7 +298,7 @@ fn convolve_rows_scalar(
             let left_energy = left_row[left_ways - 1];
             // Lower bound: even paired with the cheapest share the right
             // child offers anywhere, this left share cannot beat the
-            // incumbent — the exact sum (≥ the bound) cannot satisfy the
+            // running best — the exact sum (≥ the bound) cannot satisfy the
             // strict `<` below, so skipping preserves the argmin.
             if prune && left_energy + right_min >= best {
                 stats.pruned += 1;
@@ -459,14 +368,12 @@ impl Arena {
     /// the running best; the recorded energies and argmin splits are
     /// identical either way because the bound is conservative and the
     /// comparison is strict.
-    #[allow(clippy::too_many_arguments)]
     fn combine(
         &mut self,
         left: NodeId,
         right: NodeId,
         cap: usize,
         kernel: Kernel,
-        incumbent: f64,
         scratch: &mut Vec<f64>,
         stats: &mut PruneStats,
     ) -> NodeId {
@@ -492,7 +399,7 @@ impl Arena {
             min_energy: f64::INFINITY,
         });
         let id = self.nodes.len() - 1;
-        self.recombine(id, kernel, incumbent, scratch, stats);
+        self.recombine(id, kernel, scratch, stats);
         id
     }
 
@@ -503,7 +410,6 @@ impl Arena {
         &mut self,
         node: NodeId,
         kernel: Kernel,
-        incumbent: f64,
         scratch: &mut Vec<f64>,
         stats: &mut PruneStats,
     ) {
@@ -539,7 +445,6 @@ impl Arena {
                 max_total,
                 out_energy,
                 out_split,
-                incumbent,
                 stats,
             ),
             Kernel::Scalar | Kernel::Unpruned => convolve_rows_scalar(
@@ -600,7 +505,6 @@ fn build_reduction(
     curves: &[EnergyCurve],
     total_ways: usize,
     kernel: Kernel,
-    incumbent: f64,
     scratch: &mut Vec<f64>,
     stats: &mut PruneStats,
 ) -> (Arena, NodeId) {
@@ -612,18 +516,11 @@ fn build_reduction(
         let mut i = 0;
         while i < frontier.len() {
             if i + 1 < frontier.len() {
-                // The incumbent bound is only safe on the root row (its
-                // unrequested cells feed no further combination): the final
-                // combine is the one that merges the last two frontier
-                // nodes.
-                let is_root = next.is_empty() && i + 2 == frontier.len();
-                let bound = if is_root { incumbent } else { f64::INFINITY };
                 next.push(arena.combine(
                     frontier[i],
                     frontier[i + 1],
                     total_ways,
                     kernel,
-                    bound,
                     scratch,
                     stats,
                 ));
@@ -710,8 +607,7 @@ pub fn optimize_partition_unpruned(
 }
 
 /// One exact step of a fresh [`IncrementalOptimizer`] scanning with
-/// `kernel`: nothing is retained, so every row is built cold and no
-/// incumbent applies.
+/// `kernel`: nothing is retained, so every row is built cold.
 fn cold_step(
     curves: &[EnergyCurve],
     total_ways: usize,
@@ -756,12 +652,8 @@ pub enum Budget {
 pub struct IncrementalOptimizer {
     /// The retained reduction (arena + root) of the previous call, if any.
     state: Option<(Arena, NodeId)>,
-    /// Way budget and root cell the retained reduction was built for.
+    /// Way budget the retained reduction was built for.
     total_ways: usize,
-    budget: Budget,
-    /// Way counts of the previous [`Budget::Exact`] pick: the next exact
-    /// step's pruning incumbent.
-    last_ways: Option<Vec<usize>>,
     /// Reversed-row scratch shared by all recombinations.
     scratch: Vec<f64>,
     /// Candidate scan of every combination (a reference kernel only in the
@@ -776,11 +668,10 @@ impl IncrementalOptimizer {
         IncrementalOptimizer::default()
     }
 
-    /// Drops the retained arena and incumbent: the next call builds cold,
-    /// as on a fresh optimizer.
+    /// Drops the retained arena: the next call builds cold, as on a fresh
+    /// optimizer.
     pub fn clear(&mut self) {
         self.state = None;
-        self.last_ways = None;
     }
 
     /// Rows (leaf and inner) of the retained arena: what a call with
@@ -797,18 +688,11 @@ impl IncrementalOptimizer {
     /// (in any bit) from the curve passed at the previous call; extra true
     /// entries cost work but never correctness.
     ///
-    /// A [`Budget::Exact`] step prunes its root row with an incumbent: the
-    /// previous exact pick evaluated on the current curves in the
-    /// reduction's association order (the private `incumbent_energy`), an
-    /// exact f64 upper bound on the optimum. The bound is applied only to
-    /// the root combination: a cell of any other row may be consumed by a
-    /// later (or future warm) combination, so every non-root row must record
-    /// exact minima, while the root row is recomputed whenever anything is
-    /// dirty and only its requested cell — whose true minimum never exceeds
-    /// a valid incumbent — is ever read. A [`Budget::Slack`] step reads the
-    /// whole root row, so it applies no incumbent, and a retained arena is
-    /// reused only under the budget it was built for: a slack read never
-    /// sees a root recombined under a finite incumbent.
+    /// Every row, the root included, holds the exact minimum at every
+    /// budget up to `total_ways`, so a retained arena serves either
+    /// `budget`: reuse depends only on the reduction topology and
+    /// `total_ways`, and successive calls may alternate [`Budget::Exact`]
+    /// and [`Budget::Slack`] reads over one arena.
     ///
     /// Returns the allocation (as [`optimize_partition`] for `Exact`), the
     /// convolution work counters for the rows actually recomputed, and the
@@ -827,17 +711,13 @@ impl IncrementalOptimizer {
             return (None, stats, warm);
         }
         debug_assert_eq!(dirty.len(), curves.len());
-        let incumbent = match (&self.last_ways, budget) {
-            (Some(ways), Budget::Exact) => incumbent_energy(curves, ways),
-            _ => f64::INFINITY,
-        };
 
         // The retained arena is reusable only when the reduction topology —
         // leaf count (a reduction of `n` leaves has `2n - 1` nodes, leaves
         // first), per-leaf row widths and the way budget — is unchanged;
         // offsets and row lengths are then identical, so dirty rows can be
         // patched in place.
-        let reusable = (self.total_ways, self.budget) == (total_ways, budget)
+        let reusable = self.total_ways == total_ways
             && self.state.as_ref().is_some_and(|(arena, _)| {
                 arena.nodes.len() + 1 == 2 * curves.len()
                     && curves
@@ -847,8 +727,7 @@ impl IncrementalOptimizer {
             });
 
         if reusable {
-            let (arena, root) = self.state.as_mut().expect("checked reusable");
-            let root = *root;
+            let (arena, _) = self.state.as_mut().expect("checked reusable");
             let mut node_dirty = vec![false; arena.nodes.len()];
             for (i, curve) in curves.iter().enumerate() {
                 if dirty[i] {
@@ -860,30 +739,24 @@ impl IncrementalOptimizer {
             }
             // Inner nodes follow their children in creation order, so a
             // single ascending pass recombines exactly the dirty root paths.
-            // The root (the last node) is on every leaf's path, so it is
-            // recomputed — with the incumbent bound — whenever any leaf
-            // changed.
             for id in curves.len()..arena.nodes.len() {
                 let n = &arena.nodes[id];
                 if node_dirty[n.left] || node_dirty[n.right] {
-                    let bound = if id == root { incumbent } else { f64::INFINITY };
-                    arena.recombine(id, self.kernel, bound, &mut self.scratch, &mut stats);
+                    arena.recombine(id, self.kernel, &mut self.scratch, &mut stats);
                     node_dirty[id] = true;
                 } else {
                     warm.rows_reused += 1;
                 }
             }
         } else {
-            let reduction = build_reduction(
+            self.total_ways = total_ways;
+            self.state = Some(build_reduction(
                 curves,
                 total_ways,
                 self.kernel,
-                incumbent,
                 &mut self.scratch,
                 &mut stats,
-            );
-            self.state = Some(reduction);
-            (self.total_ways, self.budget) = (total_ways, budget);
+            ));
         }
 
         let (arena, root) = self.state.as_ref().expect("built or patched above");
@@ -898,42 +771,8 @@ impl IncrementalOptimizer {
                 }
             }),
         };
-        let allocation = extract_result(arena, *root, curves, ways);
-        if let (Budget::Exact, Some(allocation)) = (budget, &allocation) {
-            self.last_ways = Some(allocation.iter().map(|&(ways, _)| ways).collect());
-        }
-        (allocation, stats, warm)
+        (extract_result(arena, *root, curves, ways), stats, warm)
     }
-}
-
-/// Evaluates an allocation's total energy on `curves`, summed in the
-/// reduction's own association order (adjacent pairs per round, the odd node
-/// carried), so the result is an f64 value the convolution itself could
-/// compute for that allocation. As an incumbent it is therefore an upper
-/// bound on the optimum *in f64 arithmetic*, not just mathematically: the
-/// root-cell minimum is `<=` every candidate value it scanned, and those
-/// values are built with this same association. `f64::INFINITY` — a no-op
-/// incumbent — when the allocation is infeasible or does not match `curves`.
-fn incumbent_energy(curves: &[EnergyCurve], allocation: &[usize]) -> f64 {
-    if allocation.len() != curves.len() || curves.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut values: Vec<f64> = allocation
-        .iter()
-        .zip(curves)
-        .map(|(&w, curve)| curve.energy(w))
-        .collect();
-    while values.len() > 1 {
-        let half = values.len().div_ceil(2);
-        for i in 0..half {
-            values[i] = match values.get(2 * i + 1) {
-                Some(right) => values[2 * i] + right,
-                None => values[2 * i],
-            };
-        }
-        values.truncate(half);
-    }
-    values[0]
 }
 
 /// Brute-force reference optimizer used to validate
@@ -1174,8 +1013,8 @@ mod tests {
         assert_eq!(first, cold);
         assert_eq!(warm_stats.rows_reused, 0, "first call builds everything");
 
-        // Patch one core at a time; every warm result, pruned with the
-        // previous allocation as incumbent, must equal a cold rebuild.
+        // Patch one core at a time; every warm result must equal a cold
+        // rebuild.
         for step in 0..6usize {
             let core = step % curves.len();
             curves[core] = sloped_curve(10.0 + step as f64, 0.3 + 0.05 * step as f64, 16);
@@ -1209,29 +1048,5 @@ mod tests {
         let (warm, _, warm_stats) = warm_opt.optimize(&fewer, &[false; 3], 16, Budget::Exact);
         assert_eq!(warm, optimize_partition(&fewer, 16));
         assert_eq!(warm_stats.rows_reused, 0, "topology change must rebuild");
-    }
-
-    #[test]
-    fn incumbent_energy_is_an_exact_upper_bound() {
-        let curves = mixed_curves();
-        let (alloc, _) = optimize_partition_with_stats(&curves, 16);
-        let alloc = alloc.unwrap();
-        let ways: Vec<usize> = alloc.iter().map(|(w, _)| *w).collect();
-        assert!(incumbent_energy(&curves, &ways).is_finite());
-        // Re-optimizing with the optimum itself as the incumbent must not
-        // perturb the result (the bound test is strict).
-        let mut warm_opt = IncrementalOptimizer::new();
-        let all_dirty = vec![true; curves.len()];
-        for _ in 0..2 {
-            let (warm, _, _) = warm_opt.optimize(&curves, &all_dirty, 16, Budget::Exact);
-            assert_eq!(warm.unwrap(), alloc);
-        }
-        // Infeasible allocations yield the no-op bound.
-        assert_eq!(
-            incumbent_energy(&curves, &vec![1; curves.len()]),
-            f64::INFINITY,
-            "curve 1 is infeasible at one way"
-        );
-        assert_eq!(incumbent_energy(&curves, &[]), f64::INFINITY);
     }
 }

@@ -47,9 +47,8 @@ pub struct RmaConfig {
     /// observation is compared bit for bit with its previous one, an
     /// unchanged core keeps its retained curve without rebuilding, the
     /// global step (cooperative or NashEq) keeps its min-plus arena between
-    /// steps and recombines only the dirty cores' root paths — the
-    /// cooperative one pruned with the previous allocation as incumbent —
-    /// and an invocation that changed nothing skips the global step. Off the
+    /// steps and recombines only the dirty cores' root paths, and an
+    /// invocation that changed nothing skips the global step. Off the
     /// delta path the arena is cleared before each step, so every step
     /// builds it cold. Results are bit-identical either way; only the
     /// *measured work* differs, which is why the paper's constructors leave
@@ -429,10 +428,9 @@ impl CoordinatedRma {
     /// Enables the incremental delta path (see [`RmaConfig::incremental`]):
     /// a core whose observation equals its previous one bit for bit keeps
     /// its retained curve, the global step recombines only the dirty root
-    /// paths of the retained reduction arena (a cooperative step with the
-    /// previous allocation as its pruning incumbent), and an invocation
-    /// that changed nothing returns the current setting without a global
-    /// step. Every setting the manager emits is bit-identical to the cold
+    /// paths of the retained reduction arena, and an invocation that
+    /// changed nothing returns the current setting without a global step.
+    /// Every setting the manager emits is bit-identical to the cold
     /// path — only the measured work counters differ (`delta_invocations`,
     /// `curves_patched`, `warm_rows_reused` tick; `curve_builds`,
     /// `reduction_ops` and the game counters shrink).
@@ -636,10 +634,10 @@ impl ResourceManager for CoordinatedRma {
             algo => {
                 // One arena serves the cooperative step and equilibrium
                 // selection. Off the delta path it keeps nothing between
-                // steps, so each step builds every row cold with no
-                // incumbent. On it, unchanged cores' rows are reused
-                // verbatim and only dirty root paths are recombined. The
-                // allocation is bit-identical either way.
+                // steps, so each step builds every row cold. On it,
+                // unchanged cores' rows are reused verbatim and only dirty
+                // root paths are recombined. The allocation is
+                // bit-identical either way.
                 if !self.config.incremental {
                     self.arena.clear();
                 }
@@ -1182,8 +1180,7 @@ mod tests {
             assert_eq!(cold_counters.curve_builds, 12, "cold path always builds");
             assert!(
                 delta_counters.reduction_ops < cold_counters.reduction_ops,
-                "{name}: warm rows and incumbent pruning must cut convolution \
-                 work ({} vs {})",
+                "{name}: reused warm rows must cut convolution work ({} vs {})",
                 delta_counters.reduction_ops,
                 cold_counters.reduction_ops
             );

@@ -7,7 +7,7 @@
 //! qosrm-experiments sweep resume --out DIR [--max-shards N] [--serial]
 //! qosrm-experiments sweep merge  --out DIR --result FILE
 //! qosrm-experiments sweep coordinate --spec FILE --out DIR --addr HOST:PORT
-//!                                [--quick] [--shard-size N] [--serial]
+//!                                [--quick] [--shard-size N]
 //!                                [--lease-ms MS] [--linger-ms MS]
 //! qosrm-experiments sweep work   --addr HOST:PORT [--worker NAME]
 //!                                [--shard-delay-ms MS]
@@ -48,7 +48,7 @@ const USAGE: &str = "usage:
   qosrm-experiments sweep run --spec FILE --out DIR [--quick] [--shard-size N] [--max-shards N] [--serial]
   qosrm-experiments sweep resume --out DIR [--max-shards N] [--serial]
   qosrm-experiments sweep merge --out DIR --result FILE
-  qosrm-experiments sweep coordinate --spec FILE --out DIR --addr HOST:PORT [--quick] [--shard-size N] [--serial] [--lease-ms MS] [--linger-ms MS]
+  qosrm-experiments sweep coordinate --spec FILE --out DIR --addr HOST:PORT [--quick] [--shard-size N] [--lease-ms MS] [--linger-ms MS]
   qosrm-experiments sweep work --addr HOST:PORT [--worker NAME] [--shard-delay-ms MS]
   qosrm-experiments sweep search --out DIR [--seed N] [--generations N] [--population N] [--capacity N] [--quick] [--serial]
   qosrm-experiments diagnose [--mix b1,b2,...]";
@@ -406,6 +406,11 @@ fn search_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), String> 
 fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), String> {
     use std::io::Write as _;
 
+    if parsed.serial {
+        return Err(format!(
+            "sweep coordinate takes no --serial: each worker chooses how it evaluates\n{USAGE}"
+        ));
+    }
     let spec_path = parsed
         .spec
         .clone()
@@ -419,7 +424,6 @@ fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), Stri
     let config = dist::CoordinatorConfig {
         shard_size: parsed.shard_size.unwrap_or(32).max(1),
         lease_ms: parsed.lease_ms.unwrap_or(10_000).max(100),
-        serial: parsed.serial,
         verbose: true,
         ..Default::default()
     };
@@ -499,4 +503,19 @@ fn diagnose_main(args: &[String]) -> Result<(), String> {
     let report = diagnose::run(&ctx, &mix).map_err(|e| e.to_string())?;
     print!("{report}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coordinate_rejects_serial_before_touching_the_run_directory() {
+        let args = ["--spec", "s.json", "--addr", "127.0.0.1:0", "--serial"].map(String::from);
+        let parsed = parse_sweep_args(&args).unwrap();
+        let out = std::path::Path::new("no-such-run-directory");
+        let err = coordinate_main(&parsed, out).unwrap_err();
+        assert!(err.contains("takes no --serial"), "{err}");
+        assert!(!out.exists());
+    }
 }

@@ -82,9 +82,6 @@ pub struct CoordinatorConfig {
     pub shard_size: usize,
     /// Lease duration; workers heartbeat at a third of it.
     pub lease_ms: u64,
-    /// Ask workers to evaluate serially (deterministic counter sequencing
-    /// for benchmarks; memoization stays on).
-    pub serial: bool,
     /// Log grants, completions, and reinjections to stderr.
     pub verbose: bool,
     /// Worker-id prefix whose live leases are reclaimed (forced to expire)
@@ -101,7 +98,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             shard_size: 32,
             lease_ms: 10_000,
-            serial: false,
             verbose: false,
             reclaim_prefix: String::new(),
         }
@@ -352,7 +348,6 @@ impl Coordinator {
                         spec_json: self.spec_json.clone(),
                         quick: self.quick,
                         points: lease.points,
-                        serial: self.config.serial,
                     }),
                     finished: false,
                 }
@@ -597,10 +592,6 @@ where
         let ctx = ctx_for(grant.quick);
         let spec: ScenarioSpec = serde_json::from_str(&grant.spec_json)
             .map_err(|e| QosrmError::Io(format!("grant carries an unparsable spec: {e}")))?;
-        let options = SweepOptions {
-            parallel: ctx.sweep.parallel && !grant.serial,
-            ..ctx.sweep
-        };
         let heartbeat = HeartbeatRequest {
             worker: config.worker.clone(),
             run: grant.run.clone(),
@@ -609,7 +600,7 @@ where
         };
         let (outcomes_jsonl, curve_hits, curve_misses) =
             heartbeating(coordination, &heartbeat, grant.lease_ms, || {
-                evaluate_points(&ctx, &spec, &grant.points, options)
+                evaluate_points(&ctx, &spec, &grant.points, ctx.sweep)
             })??;
         if config.shard_delay_ms > 0 {
             #[allow(clippy::disallowed_methods)] // A deliberate pause, not a wait on anything.

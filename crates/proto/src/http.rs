@@ -41,7 +41,8 @@
 //! coordinator/worker pair fails fast with a typed
 //! [`PROTOCOL_MISMATCH_KIND`] error instead of a confusing
 //! malformed-message path deeper in. Revision `qosrm/2` dropped the lease
-//! reply's retry hint, when lease requests began to be held instead.
+//! reply's retry hint, when lease requests began to be held instead;
+//! `qosrm/3` dropped the lease grant's `serial` flag.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -62,7 +63,7 @@ pub const PROTO_VERSION_HEADER: &str = "x-qosrm-proto";
 /// The protocol revision this build speaks. Bump it whenever a wire message
 /// changes incompatibly; a coordinator and worker disagreeing on it refuse
 /// each other with a typed error instead of mis-parsing bodies.
-pub const PROTO_VERSION: &str = "qosrm/2";
+pub const PROTO_VERSION: &str = "qosrm/3";
 
 /// `kind` of the typed error a version mismatch produces.
 pub const PROTOCOL_MISMATCH_KIND: &str = "ProtocolMismatch";

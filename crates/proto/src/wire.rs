@@ -58,9 +58,6 @@ pub struct LeaseGrant {
     /// Grid-point indices (into the spec's canonical point order) this
     /// shard evaluates.
     pub points: Vec<u64>,
-    /// Evaluate serially even if the worker has parallelism available
-    /// (used by benches that need deterministic per-rep counters).
-    pub serial: bool,
 }
 
 /// Coordinator → worker: answer to a (possibly held) lease request. With
@@ -213,7 +210,6 @@ mod tests {
             spec_json: "{\"label\":\"t\"}".to_string(),
             quick: false,
             points: vec![12, 13, 14, 15],
-            serial: true,
         };
         let reply = LeaseReply {
             grant: Some(grant),

@@ -208,7 +208,7 @@ impl ObsBuffer {
                     miss: MissProfile::new(phase.atd_misses_per_way.clone()),
                     mlp: options
                         .provide_mlp_profiles
-                        .then(|| MlpProfile::new(phase.atd_leading_misses.clone())),
+                        .then(|| MlpProfile::new(phase.leading_misses.clone())),
                     scaling: options
                         .provide_mlp_profiles
                         .then(|| CoreScalingProfile::new(phase.exec_cpi.clone())),

@@ -3,7 +3,7 @@
 //! ```text
 //! qosrm_serve --addr 127.0.0.1:7171 --data-dir serve-data [--workers N]
 //!             [--max-queue N] [--max-payload BYTES] [--shard-size N]
-//!             [--serial] [--shard-delay-ms MS] [--lease-ms MS] [--quiet]
+//!             [--shard-delay-ms MS] [--lease-ms MS] [--quiet]
 //! ```
 //!
 //! Prints `listening on ADDR` once the socket is bound (scripts parse this
@@ -43,12 +43,11 @@ fn main() {
                 config.shard_delay_ms = parse(&value("--shard-delay-ms"), "--shard-delay-ms")
             }
             "--lease-ms" => config.lease_ms = parse(&value("--lease-ms"), "--lease-ms"),
-            "--serial" => config.serial = true,
             "--quiet" => config.verbose = false,
             "--help" | "-h" => {
                 println!(
                     "usage: qosrm_serve [--addr HOST:PORT] [--data-dir DIR] [--workers N] \
-                     [--max-queue N] [--max-payload BYTES] [--shard-size N] [--serial] \
+                     [--max-queue N] [--max-payload BYTES] [--shard-size N] \
                      [--shard-delay-ms MS] [--lease-ms MS] [--quiet]"
                 );
                 return;

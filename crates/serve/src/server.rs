@@ -45,7 +45,7 @@ use crate::http::{
 use crate::state::{RegistryInner, RunMeta, RunState, RunTallies, ServeCounters, RUN_META_FILE};
 use experiments::dist::{self, Coordinator, CoordinatorConfig, CoordinatorHub, WorkerConfig};
 use experiments::stream::{next_shard_index, shard_file_name};
-use experiments::{ExperimentContext, LockUnpoisoned, ScenarioSpec, SweepManifest, SweepOptions};
+use experiments::{ExperimentContext, LockUnpoisoned, ScenarioSpec, SweepManifest};
 use qosrm_core::RmaWorkCounters;
 use qosrm_proto::LeaseTelemetry;
 use qosrm_types::QosrmError;
@@ -81,9 +81,6 @@ pub struct ServeConfig {
     pub max_payload_bytes: usize,
     /// Shard size used when a submission does not specify one.
     pub default_shard_size: usize,
-    /// Evaluate scenarios serially within each run (deterministic counter
-    /// sequencing for benchmarks; memoization stays on).
-    pub serial: bool,
     /// Artificial pause of the in-process workers between evaluating a
     /// shard and delivering it (0 in production; tests and demos use it for
     /// slow shards, to exercise mid-run cancellation and kill windows
@@ -107,7 +104,6 @@ impl Default for ServeConfig {
             max_queue: 64,
             max_payload_bytes: 1024 * 1024,
             default_shard_size: 8,
-            serial: false,
             shard_delay_ms: 0,
             lease_ms: 30_000,
             verbose: false,
@@ -291,19 +287,11 @@ impl Shared {
         contexts
             .entry(quick)
             .or_insert_with(|| {
-                // The drain loop evaluates every shard with these options.
-                // Serial mode stays memoized and on the delta path:
-                // `SweepOptions::serial()` would also disable memoization,
-                // which the serving bench relies on for deterministic
-                // hit/miss counters.
-                let sweep = SweepOptions {
-                    parallel: !self.config.serial,
-                    ..SweepOptions::default()
-                };
+                // The drain loop evaluates every shard with the context's
+                // default options: parallel, memoized and on the delta path.
                 Arc::new(
                     ExperimentContext::new(quick)
-                        .with_cache_dir(self.config.data_dir.join("cache"))
-                        .with_sweep_options(sweep),
+                        .with_cache_dir(self.config.data_dir.join("cache")),
                 )
             })
             .clone()
@@ -986,7 +974,6 @@ fn execute_run(shared: &Shared, id: &str) {
     let config = CoordinatorConfig {
         shard_size: meta.shard_size,
         lease_ms: shared.config.lease_ms.max(100),
-        serial: shared.config.serial,
         verbose: false,
         reclaim_prefix: WORKER_PREFIX.to_string(),
     };

@@ -178,7 +178,6 @@ mod tests {
                     .collect(),
             ],
             atd_misses_per_way: (0..16).map(|w| 900_000 - 40_000 * w as u64).collect(),
-            atd_leading_misses: vec![vec![0; 16], vec![0; 16], vec![0; 16]],
         }
     }
 

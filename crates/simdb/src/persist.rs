@@ -272,6 +272,40 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// A database saved while every phase still stored its leading misses
+    /// twice (an `atd_leading_misses` copy after its ATD miss curve) loads
+    /// and validates: deserialization ignores the unknown key.
+    #[test]
+    fn databases_with_the_duplicate_leading_miss_key_still_load() {
+        let db = tiny_db();
+        let record = db.benchmark("gamess_like").unwrap();
+        let json = serde_json::to_string(&db).unwrap();
+        let mut parts = json.split("\"atd_misses_per_way\":");
+        let mut old = parts.next().unwrap().to_string();
+        let mut phases = record.phases.iter();
+        for part in parts {
+            let end = part.find(']').unwrap() + 1;
+            let copy = serde_json::to_string(&phases.next().unwrap().leading_misses).unwrap();
+            old += &format!(
+                "\"atd_misses_per_way\":{},\"atd_leading_misses\":{copy}{}",
+                &part[..end],
+                &part[end..]
+            );
+        }
+        assert!(phases.next().is_none(), "one ATD curve per phase");
+        assert_eq!(
+            old.matches("atd_leading_misses").count(),
+            record.phases.len()
+        );
+
+        let dir = std::env::temp_dir().join(format!("qosrm_simdb_old_key_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.json");
+        fs::write(&path, old).unwrap();
+        assert_eq!(load(&path).unwrap(), db);
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn corrupt_cache_is_rebuilt() {
         let dir = std::env::temp_dir().join("qosrm_simdb_test");

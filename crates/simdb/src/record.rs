@@ -137,7 +137,6 @@ mod tests {
             misses_per_way: vec![100, 80, 60, 50],
             leading_misses: vec![vec![90, 72, 55, 45]],
             atd_misses_per_way: vec![100, 80, 60, 50],
-            atd_leading_misses: vec![vec![90, 72, 55, 45]],
         }
     }
 

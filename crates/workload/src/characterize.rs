@@ -172,12 +172,10 @@ impl PhaseCharacterizer {
             .map(|row| row.into_iter().map(|v| v * scale).collect())
             .collect();
         // The MLP-ATD extension observes miss overlap at the MSHR file, which
-        // sees every real miss (not only the ATD-sampled sets); its reported
-        // leading-miss counts therefore track the full-stream overlap
-        // structure. The remaining Model-3 error comes from the sampled miss
-        // curve (for non-current way counts) and from effects the leading-
-        // loads model ignores (bandwidth queueing).
-        let atd_leading_misses: Vec<Vec<u64>> = leading_misses.clone();
+        // sees every real miss (not only the ATD-sampled sets), so it reports
+        // these exact counts. The remaining Model-3 error comes from the
+        // sampled miss curve (for non-current way counts) and from effects
+        // the leading-loads model ignores (bandwidth queueing).
 
         let exec_cpi = exec_cpi_curve(
             &spec.ilp,
@@ -192,7 +190,6 @@ impl PhaseCharacterizer {
             misses_per_way,
             leading_misses,
             atd_misses_per_way,
-            atd_leading_misses,
         }
     }
 }
@@ -256,7 +253,6 @@ mod tests {
             ),
             misses_per_way: scaled_curve(exact.miss_curve()),
             atd_misses_per_way: scaled_curve(atd.miss_curve()),
-            atd_leading_misses: leading_misses.clone(),
             leading_misses,
         }
     }

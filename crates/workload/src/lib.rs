@@ -19,10 +19,10 @@
 //! * a **characterization** step ([`characterize`]) that replays the stream
 //!   through the cache substrate and produces the
 //!   [`core_model::PhaseCharacterization`] ground truth (plus the ATD-sampled
-//!   view) for the simulation database;
+//!   miss curve) for the simulation database;
 //! * **phase traces** ([`trace`]) with per-phase weights, mirroring the
-//!   SimPoint output the co-phase simulator consumes, plus a small k-means
-//!   clustering utility ([`simpoint`]) over slice feature vectors;
+//!   SimPoint output the co-phase simulator consumes (the synthetic suite
+//!   knows its phases by construction, so no clustering step runs);
 //! * the paper's **application categorization** ([`category`]) and the
 //!   **workload mixes** ([`mixes`]) used by every experiment;
 //! * a seeded **mix synthesizer** ([`synth`]) that expands a serializable
@@ -37,7 +37,6 @@ pub mod category;
 pub mod characterize;
 pub mod mixes;
 pub mod phase;
-pub mod simpoint;
 pub mod stream;
 pub mod suite;
 pub mod synth;
@@ -50,7 +49,6 @@ pub use mixes::{
     paper2_sixteen_mixes, validate_mix_axis, WorkloadMix,
 };
 pub use phase::{PhaseSpec, Region};
-pub use simpoint::{cluster_slices, SliceFeatures};
 pub use stream::StreamGenerator;
 pub use suite::{benchmark, benchmark_names, BenchmarkProfile};
 pub use synth::{MixPopulation, SynthSpec};

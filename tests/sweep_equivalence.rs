@@ -92,7 +92,7 @@ fn serial_parallel_and_memoized_sweeps_are_bit_identical() {
     );
     assert!(
         delta.reduction_ops < cold.reduction_ops,
-        "warm rows + incumbent pruning must cut convolution work ({} vs {})",
+        "reused warm rows must cut convolution work ({} vs {})",
         delta.reduction_ops,
         cold.reduction_ops
     );
