@@ -120,8 +120,12 @@ case "$MODE" in
   serve)
     # Fixed port so the restarted daemon is reachable at the address the
     # load generator keeps retrying (the daemon binds with retries, riding
-    # out the dying listener's TIME_WAIT).
-    ADDR="127.0.0.1:$(( (RANDOM % 20000) + 20000 ))"
+    # out the dying listener's TIME_WAIT). It lies below 32768, the start
+    # of Linux's default ephemeral range (32768-60999): a port in that
+    # range can already be the local end of an outgoing connection, such
+    # as one of the load generator's own, and the bind then fails with
+    # "Address already in use".
+    ADDR="127.0.0.1:$(( (RANDOM % 12000) + 20000 ))"
     DATA="$OUT/serve-data"
     daemon_starts=0
     start_daemon() {
@@ -173,13 +177,15 @@ case "$MODE" in
     # $LEASE_MS, the coordinator reinjects the orphaned shard, and a
     # survivor re-runs it — the merged result must still be byte-identical
     # to the single-process reference.
-    ADDR="127.0.0.1:$(( (RANDOM % 20000) + 20000 ))"
+    # The coordinator never restarts, so it binds any free port and the
+    # workers read the address from its liveness line.
     "$EXPERIMENTS_BIN" sweep coordinate --spec "$SPEC" --out "$OUT/dist" \
-      --quick --shard-size "$SHARD_SIZE" --addr "$ADDR" \
+      --quick --shard-size "$SHARD_SIZE" --addr 127.0.0.1:0 \
       --lease-ms "$LEASE_MS" >"$OUT/coordinator.log" 2>&1 &
     coord_pid=$!
     extra_pids="$coord_pid"
     wait_for_line "$OUT/coordinator.log" "coordinating on"
+    ADDR=$(sed -n 's/^coordinating on //p' "$OUT/coordinator.log" | head -n 1)
 
     "$EXPERIMENTS_BIN" sweep work --addr "$ADDR" --worker worker-1 \
       --shard-delay-ms "$VICTIM_DELAY_MS" >"$OUT/worker-1.log" 2>&1 &

@@ -22,14 +22,19 @@
 //! and thread-safe: one instance is shared across all scenarios of a
 //! parallel sweep (see `experiments::sweep`).
 //!
-//! Keys are 128-bit digests (two independent FNV-1a streams). The
-//! configuration fingerprint — computed once per manager — digests the
-//! canonical `serde` value tree via [`fingerprint`]; the per-invocation
-//! observation is streamed into the digest field-by-field (no allocation)
-//! by an exhaustive destructuring, so adding a field to `CoreObservation`
-//! fails compilation here until the digest covers it. At the cache sizes a
-//! sweep produces (well below 2³⁰ entries) collisions are vanishingly
-//! unlikely.
+//! Keys are 128-bit digests of two 64-bit lanes. The configuration
+//! fingerprint — computed once per manager — digests the canonical `serde`
+//! value tree via [`fingerprint`], a byte-wise FNV-1a stream: its digests
+//! also name persistent things (serve run ids, search genome keys,
+//! `--cache-dir` database files), so its output never moves. The
+//! per-invocation key is derived on every lookup, hits included, so
+//! [`curve_key`] streams the observation field by field (no allocation) and
+//! *word by word*: each `u64`, and each `f64`'s bits, is one step of each
+//! lane, where FNV-1a would take eight (a Paper II observation is ~77
+//! words). An exhaustive destructuring makes adding a field to
+//! `CoreObservation` fail compilation here until the key covers it. At the
+//! cache sizes a sweep produces (well below 2³⁰ entries) collisions are
+//! vanishingly unlikely.
 //!
 //! The incremental delta path of [`crate::CoordinatedRma`] does not trust a
 //! digest: it keeps each core's previous observation and compares the new
@@ -45,7 +50,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// A 128-bit cache key (two independent 64-bit digests).
 pub type CurveKey = (u64, u64);
 
-/// Incremental 128-bit digest: two FNV-1a streams with distinct offsets.
+/// Incremental 128-bit digest: two byte-wise FNV-1a streams with distinct
+/// offsets ([`fingerprint`]'s digest).
 #[derive(Debug, Clone, Copy)]
 struct Digest {
     a: u64,
@@ -138,15 +144,59 @@ pub fn fingerprint<T: Serialize>(value: &T) -> CurveKey {
     digest.finish()
 }
 
+/// Incremental 128-bit digest of [`curve_key`]: two 64-bit lanes that take
+/// one word per step, `lane = ((lane ^ word) * odd).rotate_left(r)`, with
+/// distinct offsets, multipliers and rotations, and lane `b` fed the word
+/// rotated by half its width. For a fixed word each step is a bijection of
+/// the lane, and for a fixed lane it is injective in the word, so two
+/// streams of one shape that differ in one word never share a key.
+#[derive(Debug, Clone, Copy)]
+struct WordDigest {
+    a: u64,
+    b: u64,
+}
+
+impl WordDigest {
+    fn new() -> Self {
+        WordDigest {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x6c62_272e_07bb_0142,
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.a = (self.a ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+        self.b = (self.b ^ word.rotate_left(32))
+            .wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            .rotate_left(31);
+    }
+
+    /// An `Option` tag, one word like any other.
+    fn write_u8(&mut self, tag: u8) {
+        self.write_u64(tag as u64);
+    }
+
+    fn write_f64(&mut self, value: f64) {
+        self.write_u64(value.to_bits());
+    }
+
+    fn finish(self) -> CurveKey {
+        (self.a, self.b)
+    }
+}
+
 /// Derives the full cache key of one curve construction from the manager's
 /// configuration fingerprint, the core's QoS specification and the
 /// observation handed to the local optimizer.
 ///
-/// The observation is digested field-by-field (no intermediate value tree):
-/// this runs on every curve-cache lookup — hits included — so the key
-/// derivation must not allocate.
+/// This runs on every curve-cache lookup — hits included — so the
+/// observation is digested field by field (no intermediate value tree, no
+/// allocation) and word by word: one step of each lane per `u64` or `f64`,
+/// where [`fingerprint`]'s byte-wise stream would take eight.
 pub fn curve_key(config: CurveKey, qos: QosSpec, observation: &CoreObservation) -> CurveKey {
-    let mut digest = Digest::new();
+    let mut digest = WordDigest::new();
     digest.write_u64(config.0);
     digest.write_u64(config.1);
     digest.write_f64(qos.allowed_slowdown);
@@ -154,9 +204,10 @@ pub fn curve_key(config: CurveKey, qos: QosSpec, observation: &CoreObservation) 
     digest.finish()
 }
 
-/// Streams every field of an observation into the digest. Option fields are
-/// tagged so `None` never collides with an adjacent value.
-fn digest_observation(digest: &mut Digest, observation: &CoreObservation) {
+/// Streams every field of an observation into the digest, one word per
+/// integer or float. Option fields are tagged so `None` never collides with
+/// an adjacent value.
+fn digest_observation(digest: &mut WordDigest, observation: &CoreObservation) {
     // Exhaustive destructuring (no `..`): adding a field to CoreObservation
     // or IntervalStats fails compilation here until the digest covers it.
     let CoreObservation {
@@ -623,17 +674,66 @@ mod tests {
     #[test]
     fn any_input_change_changes_the_key() {
         let config = fingerprint(&"config-a".to_string());
-        let base = curve_key(config, QosSpec::STRICT, &observation(500));
-        let other_obs = curve_key(config, QosSpec::STRICT, &observation(501));
-        let other_qos = curve_key(config, QosSpec::relaxed_by(0.4), &observation(500));
-        let other_config = curve_key(
-            fingerprint(&"config-b".to_string()),
-            QosSpec::STRICT,
-            &observation(500),
+        let mut base = observation(500);
+        base.perfect = Some(table(0));
+        let base_key = curve_key(config, QosSpec::STRICT, &base);
+        let other_qos = curve_key(config, QosSpec::relaxed_by(0.4), &base);
+        let other_config = curve_key(fingerprint(&"config-b".to_string()), QosSpec::STRICT, &base);
+        assert_ne!(base_key, other_qos);
+        assert_ne!(base_key, other_config);
+
+        // One edit per field of `digest_observation`'s destructure; the
+        // base has every option `Some`, so the last three edits are the
+        // `Some`/`None` swaps.
+        type Edit = fn(&mut CoreObservation);
+        let edits: &[(&str, Edit)] = &[
+            ("app", |o| o.app = AppId(1)),
+            ("instructions", |o| o.stats.instructions += 1),
+            ("cycles", |o| o.stats.cycles += 1),
+            ("exec_cycles", |o| o.stats.exec_cycles += 1),
+            ("llc_accesses", |o| o.stats.llc_accesses += 1),
+            ("llc_misses", |o| o.stats.llc_misses += 1),
+            ("leading_misses", |o| o.stats.leading_misses += 1),
+            ("elapsed_seconds", |o| o.stats.elapsed_seconds *= 1.5),
+            ("freq", |o| o.stats.freq = FreqLevel(5)),
+            ("core_size", |o| o.stats.core_size = CoreSizeIdx(2)),
+            ("ways", |o| o.stats.ways += 1),
+            ("one miss-profile word", |o| {
+                let mut misses = vec![500; 16];
+                misses[7] = 499;
+                o.miss_profile = MissProfile::new(misses);
+            }),
+            ("one leading-miss cell", |o| {
+                let mut rows = vec![vec![250; 16]; 3];
+                rows[1][9] = 251;
+                o.mlp_profile = Some(MlpProfile::new(rows));
+            }),
+            ("one exec-CPI value", |o| {
+                o.scaling_profile = Some(CoreScalingProfile::new(vec![1.2, 1.0, 0.95]))
+            }),
+            ("one perfect-table cell", |o| o.perfect = Some(table(37))),
+            ("no MLP profile", |o| o.mlp_profile = None),
+            ("no scaling profile", |o| o.scaling_profile = None),
+            ("no perfect table", |o| o.perfect = None),
+        ];
+        for (field, edit) in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert!(!same_observation(&base, &edited), "{field} edit is a no-op");
+            assert_ne!(
+                curve_key(config, QosSpec::STRICT, &edited),
+                base_key,
+                "{field}"
+            );
+        }
+        let mut zero = base.clone();
+        zero.stats.elapsed_seconds = 0.0;
+        let mut negative_zero = zero.clone();
+        negative_zero.stats.elapsed_seconds = -0.0;
+        assert_ne!(
+            curve_key(config, QosSpec::STRICT, &zero),
+            curve_key(config, QosSpec::STRICT, &negative_zero)
         );
-        assert_ne!(base, other_obs);
-        assert_ne!(base, other_qos);
-        assert_ne!(base, other_config);
     }
 
     #[test]

@@ -190,10 +190,29 @@ struct SweepArgs {
     capacity: Option<usize>,
 }
 
-fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
+/// The flags `sweep ACTION` takes: exactly those its `USAGE` line lists.
+fn sweep_flags(action: &str) -> Result<&'static str, String> {
+    Ok(match action {
+        "run" => "--spec --out --quick --shard-size --max-shards --serial",
+        "resume" => "--out --max-shards --serial",
+        "merge" => "--out --result",
+        "coordinate" => "--spec --out --addr --quick --shard-size --lease-ms --linger-ms",
+        "work" => "--addr --worker --shard-delay-ms",
+        "search" => "--out --seed --generations --population --capacity --quick --serial",
+        other => return Err(format!("unknown sweep action {other}\n{USAGE}")),
+    })
+}
+
+/// Parses the flags of `sweep ACTION`. A flag the action does not list is a
+/// usage error naming both, raised before anything touches the filesystem.
+fn parse_sweep_args(action: &str, args: &[String]) -> Result<SweepArgs, String> {
+    let accepted = sweep_flags(action)?;
     let mut parsed = SweepArgs::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        if arg.starts_with("--") && !accepted.split_whitespace().any(|flag| flag == arg) {
+            return Err(format!("sweep {action} takes no {arg}\n{USAGE}"));
+        }
         match arg.as_str() {
             "--spec" => {
                 parsed.spec = Some(PathBuf::from(iter.next().ok_or("--spec requires a path")?))
@@ -241,7 +260,11 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
             "--capacity" => {
                 parsed.capacity = Some(parse_count(iter.next(), "--capacity")?);
             }
-            other => return Err(format!("unknown sweep flag {other}\n{USAGE}")),
+            other => {
+                return Err(format!(
+                    "unexpected sweep {action} argument {other}\n{USAGE}"
+                ))
+            }
         }
     }
     Ok(parsed)
@@ -297,7 +320,7 @@ fn sweep_main(args: &[String]) -> Result<(), String> {
     let (action, rest) = args
         .split_first()
         .ok_or_else(|| format!("sweep requires an action\n{USAGE}"))?;
-    let parsed = parse_sweep_args(rest)?;
+    let parsed = parse_sweep_args(action, rest)?;
     if action == "work" {
         return work_main(&parsed);
     }
@@ -320,13 +343,7 @@ fn sweep_main(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "resume" => {
-            if parsed.quick {
-                return Err(
-                    "sweep resume takes the quick/full mode from the run's manifest; \
-                     drop --quick"
-                        .to_string(),
-                );
-            }
+            // The quick/full mode comes from the run's manifest.
             let manifest = experiments::SweepManifest::load(&out)
                 .map_err(|e| format!("failed to load the manifest in {}: {e}", out.display()))?;
             let ctx = sweep_context(manifest.quick, &parsed);
@@ -357,7 +374,7 @@ fn sweep_main(args: &[String]) -> Result<(), String> {
         }
         "coordinate" => coordinate_main(&parsed, &out),
         "search" => search_main(&parsed, &out),
-        other => Err(format!("unknown sweep action {other}\n{USAGE}")),
+        other => unreachable!("sweep_flags accepted the action {other}"),
     }
 }
 
@@ -406,11 +423,6 @@ fn search_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), String> 
 fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), String> {
     use std::io::Write as _;
 
-    if parsed.serial {
-        return Err(format!(
-            "sweep coordinate takes no --serial: each worker chooses how it evaluates\n{USAGE}"
-        ));
-    }
     let spec_path = parsed
         .spec
         .clone()
@@ -509,13 +521,73 @@ fn diagnose_main(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
     fn coordinate_rejects_serial_before_touching_the_run_directory() {
-        let args = ["--spec", "s.json", "--addr", "127.0.0.1:0", "--serial"].map(String::from);
-        let parsed = parse_sweep_args(&args).unwrap();
         let out = std::path::Path::new("no-such-run-directory");
-        let err = coordinate_main(&parsed, out).unwrap_err();
-        assert!(err.contains("takes no --serial"), "{err}");
+        let line =
+            "coordinate --spec s.json --out no-such-run-directory --addr 127.0.0.1:0 --serial";
+        let err = sweep_main(&args(line)).unwrap_err();
+        assert!(
+            err.starts_with("sweep coordinate takes no --serial"),
+            "{err}"
+        );
         assert!(!out.exists());
+    }
+
+    #[test]
+    fn merge_rejects_the_flags_of_other_actions() {
+        for (action, line, flag) in [
+            (
+                "merge",
+                "--out D --result F --serial --max-shards 3 --seed 4",
+                "--serial",
+            ),
+            ("merge", "--out D --result F --seed 4", "--seed"),
+            ("run", "--spec s.json --out D --bogus", "--bogus"),
+        ] {
+            let Err(err) = parse_sweep_args(action, &args(line)) else {
+                panic!("sweep {action} accepted {line}");
+            };
+            let want = format!("sweep {action} takes no {flag}");
+            assert!(err.starts_with(&want), "{err}");
+        }
+    }
+
+    #[test]
+    fn each_action_accepts_its_documented_flags() {
+        for (action, line) in [
+            (
+                "run",
+                "--spec s.json --out D --quick --shard-size 4 --max-shards 2 --serial",
+            ),
+            ("resume", "--out D --max-shards 2 --serial"),
+            ("merge", "--out D --result F"),
+            (
+                "coordinate",
+                "--spec s.json --out D --addr 127.0.0.1:0 --quick --shard-size 4 \
+                 --lease-ms 500 --linger-ms 0",
+            ),
+            ("work", "--addr 127.0.0.1:0 --worker w --shard-delay-ms 5"),
+            (
+                "search",
+                "--out D --seed 4 --generations 2 --population 6 --capacity 8 --quick --serial",
+            ),
+        ] {
+            if let Err(err) = parse_sweep_args(action, &args(line)) {
+                panic!("sweep {action} rejected a documented flag: {err}");
+            }
+            // Each flag above is one the action's `USAGE` line lists.
+            let usage = USAGE
+                .lines()
+                .find(|usage| usage.contains(&format!(" sweep {action} ")))
+                .expect("the action has a usage line");
+            for flag in args(line).iter().filter(|arg| arg.starts_with("--")) {
+                assert!(usage.contains(flag.as_str()), "{flag} is not in {usage}");
+            }
+        }
     }
 }

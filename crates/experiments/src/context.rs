@@ -1,11 +1,11 @@
-//! Shared experiment infrastructure: database construction/caching and
-//! workload execution helpers.
+//! Shared experiment infrastructure: the session context (database
+//! construction and caching, quick-mode limits, telemetry) and summary
+//! statistics.
 
 use crate::sweep::SweepOptions;
 use crate::sync::LockUnpoisoned;
 use qosrm_core::{CurveCache, RmaWorkCounters};
-use qosrm_types::{PlatformConfig, QosSpec, ResourceManager};
-use rma_sim::{Comparison, CophaseSimulator, SimulationOptions, SimulationResult};
+use qosrm_types::PlatformConfig;
 use simdb::builder::BuildOptions;
 use simdb::{RecordStore, SimDb};
 use std::collections::HashMap;
@@ -222,41 +222,6 @@ impl ExperimentContext {
         };
         self.databases.lock_unpoisoned().insert(key, db.clone());
         db
-    }
-
-    /// Runs `mix` under `manager` and compares against the baseline run.
-    ///
-    /// One-shot convenience over [`CophaseSimulator::run_comparison`]; loops
-    /// that evaluate several managers on one workload should construct the
-    /// simulator once and reuse the baseline instead.
-    pub fn run_and_compare(
-        &self,
-        db: &SimDb,
-        mix: &WorkloadMix,
-        manager: &mut dyn ResourceManager,
-        qos: &[QosSpec],
-        options: SimulationOptions,
-    ) -> (Comparison, SimulationResult) {
-        let simulator =
-            CophaseSimulator::new(db, mix, options).expect("workload matches database platform");
-        let baseline = simulator
-            .run_baseline()
-            .expect("baseline run must finish within the event budget");
-        simulator
-            .run_comparison(manager, &baseline, qos)
-            .unwrap_or_else(|e| panic!("managed run failed: {e}"))
-    }
-
-    /// Runs `mix` under `manager` returning only the comparison.
-    pub fn comparison(
-        &self,
-        db: &SimDb,
-        mix: &WorkloadMix,
-        manager: &mut dyn ResourceManager,
-        qos: &[QosSpec],
-        options: SimulationOptions,
-    ) -> Comparison {
-        self.run_and_compare(db, mix, manager, qos, options).0
     }
 }
 

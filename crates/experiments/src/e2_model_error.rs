@@ -6,12 +6,18 @@
 //! models. With analytical models, 13 of the 80 applications in the 4-core
 //! workloads violate their QoS constraint (average violation 3 %, maximum
 //! 9 %); for the 8-core workloads 15 of 80 violate (average 3 %, maximum 7 %).
+//!
+//! Per platform, the database is built first on the calling thread; then
+//! the mixes fan out over the rayon pool, each simulating its baseline once
+//! and both managers against it, and the rows are assembled in mix order.
+//! No database is built inside the fan-out (see the crate docs).
 
 use crate::context::{max, mean, ExperimentContext};
 use crate::report::{ExperimentReport, ReportRow};
 use qosrm_core::{CoordinatedRma, ModelKind};
 use qosrm_types::{PlatformConfig, QosSpec};
-use rma_sim::SimulationOptions;
+use rayon::prelude::*;
+use rma_sim::{CophaseSimulator, SimulationOptions};
 use workload::paper1_workloads;
 
 /// Runs the experiment.
@@ -43,17 +49,38 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
         let mut violation_magnitudes = Vec::new();
         let mut total_apps = 0usize;
 
-        for mix in &mixes {
-            let mut analytic = CoordinatedRma::paper1(&platform, qos.clone()).with_incremental();
-            let analytic_cmp =
-                ctx.comparison(&db, mix, &mut analytic, &qos, analytic_options.clone());
+        let runs: Vec<_> = mixes
+            .par_iter()
+            .map(|mix| {
+                let simulator = |options: &SimulationOptions| {
+                    CophaseSimulator::new(&db, mix, options.clone())
+                        .expect("workload matches database platform")
+                };
+                let analytic_sim = simulator(&analytic_options);
+                // `BaselineManager` ignores observations, so the perfect tables
+                // cannot change the baseline: one baseline serves both option
+                // sets.
+                let baseline = analytic_sim
+                    .run_baseline()
+                    .expect("baseline run must finish within the event budget");
+                let mut analytic =
+                    CoordinatedRma::paper1(&platform, qos.clone()).with_incremental();
+                let (analytic_cmp, _) = analytic_sim
+                    .run_comparison(&mut analytic, &baseline, &qos)
+                    .unwrap_or_else(|e| panic!("managed run failed: {e}"));
 
-            let mut perfect =
-                CoordinatedRma::with_model(&platform, qos.clone(), ModelKind::Perfect, false)
-                    .with_name("CombinedRMA-Perfect")
-                    .with_incremental();
-            let perfect_cmp = ctx.comparison(&db, mix, &mut perfect, &qos, perfect_options.clone());
+                let mut perfect =
+                    CoordinatedRma::with_model(&platform, qos.clone(), ModelKind::Perfect, false)
+                        .with_name("CombinedRMA-Perfect")
+                        .with_incremental();
+                let (perfect_cmp, _) = simulator(&perfect_options)
+                    .run_comparison(&mut perfect, &baseline, &qos)
+                    .unwrap_or_else(|e| panic!("managed run failed: {e}"));
+                (analytic_cmp, perfect_cmp)
+            })
+            .collect();
 
+        for (mix, (analytic_cmp, perfect_cmp)) in mixes.iter().zip(runs) {
             analytic_savings.push(analytic_cmp.energy_savings);
             perfect_savings.push(perfect_cmp.energy_savings);
             total_apps += num_cores;

@@ -11,12 +11,18 @@
 //! updated convolution cells (`PruneStats::ops`). The dense
 //! `ways × sizes × levels` and `associativity²`-per-reduction worst cases
 //! are reported alongside as the paper-style bound.
+//!
+//! `measure`, which E9 shares, builds every core count's database first,
+//! on the calling thread and in core-count order, and then fans the
+//! cache-less runs, one per core count, out over the rayon pool.
 
 use crate::context::ExperimentContext;
 use crate::report::{ExperimentReport, ReportRow};
 use qosrm_core::{CoordinatedRma, OverheadModel, RmaWorkCounters};
 use qosrm_types::{PlatformConfig, QosSpec};
+use rayon::prelude::*;
 use rma_sim::{CophaseSimulator, SimulationOptions};
+use simdb::SimDb;
 use workload::WorkloadMix;
 
 /// The fixed mix the overhead measurement drives the manager with: a
@@ -30,18 +36,16 @@ fn measurement_mix(num_cores: usize) -> WorkloadMix {
     )
 }
 
-/// Runs `manager` over the fixed measurement mix on `platform` and returns
-/// its cumulative measured work counters. No curve cache is attached, so
-/// every invocation pays its full local-optimization cost — exactly what a
+/// Runs `manager` over the fixed measurement mix in `db` and returns its
+/// cumulative measured work counters. No curve cache is attached, so every
+/// invocation pays its full local-optimization cost — exactly what a
 /// per-invocation overhead figure must charge.
-pub(crate) fn measured_counters(
-    ctx: &ExperimentContext,
-    platform: &PlatformConfig,
+fn measured_counters(
+    db: &SimDb,
+    mix: &WorkloadMix,
     mut manager: CoordinatedRma,
 ) -> RmaWorkCounters {
-    let mix = measurement_mix(platform.num_cores);
-    let db = ctx.database(platform, std::slice::from_ref(&mix));
-    let sim = CophaseSimulator::new(&db, &mix, SimulationOptions::default())
+    let sim = CophaseSimulator::new(db, mix, SimulationOptions::default())
         .expect("measurement mix matches platform");
     sim.run(&mut manager)
         .expect("overhead measurement run must finish within the event budget");
@@ -50,8 +54,66 @@ pub(crate) fn measured_counters(
     counters
 }
 
+/// One platform's measured invocation overhead.
+pub(crate) struct Measurement {
+    /// The platform's core count.
+    pub num_cores: usize,
+    /// Measured instructions per invocation.
+    pub instructions: u64,
+    /// The dense worst-case instructions per invocation (the paper-style
+    /// bound).
+    pub bound: u64,
+    /// Measured model evaluations per invocation.
+    pub evals: u64,
+    /// Measured reduction-cell updates per invocation.
+    pub cells: u64,
+    /// The measured cost's share of one interval.
+    pub fraction: f64,
+}
+
+/// Measures the manager `build` makes (strict QoS on every core) on each
+/// platform, returning the measurements in platform order. The measurement
+/// databases are built first, on the calling thread and in platform order;
+/// only the simulations fan out.
+pub(crate) fn measure(
+    ctx: &ExperimentContext,
+    platforms: &[PlatformConfig],
+    build: fn(&PlatformConfig, Vec<QosSpec>) -> CoordinatedRma,
+) -> Vec<Measurement> {
+    let units: Vec<(&PlatformConfig, WorkloadMix, SimDb)> = platforms
+        .iter()
+        .map(|platform| {
+            let mix = measurement_mix(platform.num_cores);
+            let db = ctx.database(platform, std::slice::from_ref(&mix));
+            (platform, mix, db)
+        })
+        .collect();
+    let overhead = OverheadModel::default();
+    units
+        .par_iter()
+        .map(|(platform, mix, db)| {
+            let num_cores = platform.num_cores;
+            let manager = build(platform, vec![QosSpec::STRICT; num_cores]);
+            let bound = overhead.invocation_instructions(
+                num_cores,
+                platform.llc.associativity,
+                manager.evaluations_per_invocation(),
+            );
+            let (evals, cells) = per_invocation(measured_counters(db, mix, manager));
+            Measurement {
+                num_cores,
+                instructions: overhead.invocation_instructions_measured(evals, cells),
+                bound,
+                evals,
+                cells,
+                fraction: overhead.fraction_of_interval_measured(platform, evals, cells),
+            }
+        })
+        .collect()
+}
+
 /// Average measured work per invocation, rounded to whole operations.
-pub(crate) fn per_invocation(counters: RmaWorkCounters) -> (u64, u64) {
+fn per_invocation(counters: RmaWorkCounters) -> (u64, u64) {
     let inv = counters.invocations.max(1);
     (
         (counters.local_evaluations as f64 / inv as f64).round() as u64,
@@ -68,29 +130,22 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
          `CoordinatedRma::paper1` schedule of `bench_gate` for measured time)",
     );
 
-    let overhead = OverheadModel::default();
+    let platforms = [2, 4, 8].map(PlatformConfig::paper1);
     let mut four_core_measured = 0u64;
-    for &num_cores in &[2usize, 4, 8] {
-        let platform = PlatformConfig::paper1(num_cores);
-        let manager = CoordinatedRma::paper1(&platform, vec![QosSpec::STRICT; num_cores]);
-        let bound = overhead.invocation_instructions(
-            num_cores,
-            platform.llc.associativity,
-            manager.evaluations_per_invocation(),
-        );
-        let (evals, cells) = per_invocation(measured_counters(ctx, &platform, manager));
-        let instructions = overhead.invocation_instructions_measured(evals, cells);
-        if num_cores == 4 {
-            four_core_measured = instructions;
+    for m in measure(ctx, &platforms, CoordinatedRma::paper1) {
+        if m.num_cores == 4 {
+            four_core_measured = m.instructions;
         }
-        let fraction = overhead.fraction_of_interval_measured(&platform, evals, cells);
         report.push_row(
-            ReportRow::new(format!("{num_cores}-core"))
-                .with("Instructions / invocation (measured)", instructions as f64)
-                .with("Worst-case bound", bound as f64)
-                .with("Model evaluations / invocation", evals as f64)
-                .with("Reduction cells / invocation", cells as f64)
-                .with("% of 100M interval", fraction * 100.0),
+            ReportRow::new(format!("{}-core", m.num_cores))
+                .with(
+                    "Instructions / invocation (measured)",
+                    m.instructions as f64,
+                )
+                .with("Worst-case bound", m.bound as f64)
+                .with("Model evaluations / invocation", m.evals as f64)
+                .with("Reduction cells / invocation", m.cells as f64)
+                .with("% of 100M interval", m.fraction * 100.0),
         );
     }
 

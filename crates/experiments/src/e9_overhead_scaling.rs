@@ -7,13 +7,14 @@
 //! Like E5, the reported cost is measured: the curve builder's exact
 //! evaluation count and the pruned global reduction's cell updates from a
 //! short cache-less co-phase run, with the dense worst-case bound shown for
-//! comparison.
+//! comparison. It shares E5's `measure`: the three databases are built
+//! first, in core-count order, and then the three runs fan out.
 
 use crate::context::ExperimentContext;
-use crate::e5_overhead::{measured_counters, per_invocation};
+use crate::e5_overhead::measure;
 use crate::report::{ExperimentReport, ReportRow};
-use qosrm_core::{CoordinatedRma, OverheadModel};
-use qosrm_types::{PlatformConfig, QosSpec};
+use qosrm_core::CoordinatedRma;
+use qosrm_types::PlatformConfig;
 
 /// Paper-reported instruction counts per core count.
 pub const PAPER_REPORTED: &[(usize, u64)] = &[(2, 18_000), (4, 40_000), (8, 67_000)];
@@ -27,24 +28,21 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentReport {
          `global_opt` workloads of `bench_gate` for measured time)",
     );
 
-    let overhead = OverheadModel::default();
-    for &(num_cores, paper_value) in PAPER_REPORTED {
-        let platform = PlatformConfig::paper2(num_cores);
-        let manager = CoordinatedRma::paper2(&platform, vec![QosSpec::STRICT; num_cores]);
-        let bound = overhead.invocation_instructions(
-            num_cores,
-            platform.llc.associativity,
-            manager.evaluations_per_invocation(),
-        );
-        let (evals, cells) = per_invocation(measured_counters(ctx, &platform, manager));
-        let instructions = overhead.invocation_instructions_measured(evals, cells);
-        let fraction = overhead.fraction_of_interval_measured(&platform, evals, cells);
+    let platforms: Vec<PlatformConfig> = PAPER_REPORTED
+        .iter()
+        .map(|&(num_cores, _)| PlatformConfig::paper2(num_cores))
+        .collect();
+    let measurements = measure(ctx, &platforms, CoordinatedRma::paper2);
+    for (m, &(_, paper_value)) in measurements.iter().zip(PAPER_REPORTED) {
         report.push_row(
-            ReportRow::new(format!("{num_cores}-core"))
-                .with("Instructions / invocation (measured)", instructions as f64)
-                .with("Worst-case bound", bound as f64)
+            ReportRow::new(format!("{}-core", m.num_cores))
+                .with(
+                    "Instructions / invocation (measured)",
+                    m.instructions as f64,
+                )
+                .with("Worst-case bound", m.bound as f64)
                 .with("Paper reported", paper_value as f64)
-                .with("% of 100M interval", fraction * 100.0),
+                .with("% of 100M interval", m.fraction * 100.0),
         );
     }
 

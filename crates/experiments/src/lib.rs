@@ -11,12 +11,17 @@
 //!
 //! The baseline-comparison experiments (E1, E3, E4, E6, E7, E8, E10) are
 //! declarative [`sweep::ScenarioGrid`]s over the parallel scenario-sweep
-//! engine in [`sweep`]. E2 still drives the simulator directly because its
-//! two variants run under *different* simulation options (a grid shares one
+//! engine in [`sweep`]. E2 drives the simulator directly because its two
+//! variants run under *different* simulation options (a grid shares one
 //! options struct), and E5/E9 measure invocation overhead rather than
-//! baseline comparisons. E10 goes beyond the paper: it compares the
-//! game-theoretic managers of [`qosrm_core::game`] against the cooperative
-//! RM2 and reports their price of anarchy.
+//! baseline comparisons. These three build their databases first, on the
+//! calling thread and in a fixed order, and then fan only their simulations
+//! out over the rayon pool, collecting the results in order: E2 one task
+//! per mix, E5/E9 one per core count. No database is built inside a
+//! fan-out: there its characterization would run on nested threads, and
+//! concurrent builds would race in the session's record store. E10 goes beyond the paper: it compares the game-theoretic
+//! managers of [`qosrm_core::game`] against the cooperative RM2 and reports
+//! their price of anarchy.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -304,6 +304,26 @@ fn identical_submissions_deduplicate_to_one_run() {
 }
 
 #[test]
+fn run_ids_of_a_committed_spec_are_pinned() {
+    // `run_id` is `memo::fingerprint` of the spec. Its digests also name
+    // search genomes and `--cache-dir` database files, so they must not
+    // move when the curve-cache key (a separate digest) changes.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/specs/synth_smoke.json"
+    );
+    let spec = ScenarioSpec::load(std::path::Path::new(path)).expect("committed spec loads");
+    assert_eq!(
+        qosrm_serve::server::run_id(&spec, true),
+        "r230f670d6720711a13c48f2997424e9dq"
+    );
+    assert_eq!(
+        qosrm_serve::server::run_id(&spec, false),
+        "r230f670d6720711a13c48f2997424e9df"
+    );
+}
+
+#[test]
 fn a_second_database_reuses_the_overlapping_benchmark_records() {
     let (mut server, client, dir) = start("records", ServeConfig::default());
     let first = tiny_spec("records-a", 31, 2);
